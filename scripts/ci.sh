@@ -1,52 +1,43 @@
 #!/usr/bin/env bash
-# Lightweight CI gate: tier-1 tests (with both evaluation backends) plus the
-# cache-, state-, store-, parallel- and interp-bench smokes.
+# Lightweight CI gate: the tier-1 tests under both evaluation backends, then
+# every bench --check gate and the static-analysis checks.
 #
-#   scripts/ci.sh            # tier-1 pytest + bench --check gates
-#   CI_SKIP_TESTS=1 scripts/ci.sh   # bench smokes only
+#   scripts/ci.sh                   # tier-1 pytest + every gate below
+#   CI_SKIP_TESTS=1 scripts/ci.sh   # gates only
 #
 # Bench reports are written to BENCH_<subsystem>.json at the repo root and
-# checked in per PR, forming the committed bench trajectory the ROADMAP
-# asks for.
+# checked in per PR, forming the committed bench trajectory.
 #
-# Each bench smoke synthesizes a fast subset of registry benchmarks with one
-# subsystem off and on, writes a JSON report, validates its schema and fails
-# unless >= 3 benchmarks meet the subsystem's >= 2x reduction target
-# (redundant spec executions for the cache, reset-closure replays for the
-# state snapshots) with identical synthesized programs.
+# In order:
 #
-# The store-persistence gate then runs bench_cache twice more against one
-# persistent spec-outcome store (repro.synth.store): the first pass
-# populates it, the second pass -- a separate process -- must answer >= 1
-# spec execution from the store while still synthesizing identical programs.
-#
-# The parallel gates exercise repro.synth.parallel: a --jobs 2 smoke over a
-# small registry subset gated purely on program identity with the serial
-# run, then the full bench_parallel --check (default --jobs 4) which also
-# gates on the >= 1.5x wall-clock speedup target over the synthetic
-# registry.
-#
-# The interp gate runs bench_interp --check: the compiled evaluation
-# backend (repro.interp.compile) must re-evaluate synthesized programs at
-# >= 3x the tree-walker's throughput on >= 3 benchmarks while synthesizing
-# identical programs.  The tier-1 suite additionally runs once with
-# REPRO_EVAL_BACKEND=tree to keep the fallback backend green, and the
-# backend differential suite runs once with REPRO_SLOT_FRAMES=0 so the
-# resolver-identity mode (dynamic name resolution over the same frames)
-# stays observably identical to slot-baked execution.
-#
-# The static analysis gates exercise repro.analysis: the annotation linter
-# must stay finding-free over every registered benchmark, the soundness
-# sweep must observe zero dynamic effects the static footprint fails to
-# subsume, and bench_analysis --check must show >= 15% fewer dynamic
-# evaluation operations (interpreter passes + snapshot restores performed)
-# with static pruning on, with identical synthesized programs.
-#
-# The observability gate runs bench_obs --check: with tracing disabled the
-# repro.obs instrumentation must cost <= 2% on the hot spec-evaluation path
-# (paired A/B bursts against the uninstrumented core), and a traced run of
-# each benchmark must produce a well-formed JSONL trace whose phase spans
-# cover >= 95% of the root span, with identical synthesized programs.
+# * tier-1 tests, once with the default compiled backend and once with
+#   REPRO_EVAL_BACKEND=tree.  The backend differential tests in both passes
+#   compare the compiled backend's baked frame slots against the tree
+#   walker's innermost-first frame scan.
+# * interp gate (bench_interp --check): the compiled backend re-evaluates
+#   synthesized programs at >= 3x the tree walker's throughput on >= 3
+#   benchmarks, with identical programs.
+# * cache and state smokes (bench_cache / bench_state --check): >= 3
+#   benchmarks show a >= 2x reduction (redundant spec executions for the
+#   memo, reset-closure replays for the snapshots), with identical programs.
+# * store-persistence gate: bench_cache runs twice against one SQLite
+#   spec-outcome store (repro.synth.store).  The first pass populates it;
+#   the second -- a separate process -- must answer >= 1 spec execution
+#   from the store while synthesizing identical programs.
+# * parallel gates (repro.synth.parallel): a --jobs 2 smoke over a small
+#   subset gated on program identity with the serial run, then the full
+#   bench_parallel --check (default --jobs 4), which also requires a
+#   >= 1.5x wall-clock speedup over the synthetic registry.
+# * annotation lint and soundness sweep (repro.analysis): the linter finds
+#   nothing over every registered benchmark, and the sweep observes no
+#   dynamic effect the static footprint fails to subsume.
+# * static analysis gate (bench_analysis --check): >= 15% fewer dynamic
+#   evaluation operations with static pruning on, identical programs.
+# * ORM index gate (bench_orm --check): >= 5x indexed lookup throughput on a
+#   1e5-row battery plus a seeded scale synthesis smoke.
+# * observability gate (bench_obs --check): disabled tracing costs <= 2% on
+#   the hot spec-evaluation path, and traced runs produce well-formed JSONL
+#   traces whose phase spans cover >= 95% of the root span.
 
 set -euo pipefail
 
@@ -58,8 +49,6 @@ if [[ "${CI_SKIP_TESTS:-0}" != "1" ]]; then
     python -m pytest -x -q
     echo "== tier-1 tests (tree backend fallback) =="
     REPRO_EVAL_BACKEND=tree python -m pytest -x -q
-    echo "== backend differential suite (resolver-identity mode) =="
-    REPRO_SLOT_FRAMES=0 python -m pytest -x -q tests/test_interp_backends.py tests/test_resolve.py
 fi
 
 echo "== interp bench gate =="
@@ -87,9 +76,9 @@ python benchmarks/bench_state.py \
     --check
 
 echo "== store persistence gate =="
-STORE_DB="${CI_STORE_DB:-bench_outcome_store.json}"
+STORE_DB="${CI_STORE_DB:-bench_outcome_store.sqlite}"
 STORE_REPORT="${CI_STORE_REPORT:-bench_store_report.json}"
-rm -f "$STORE_DB"
+rm -f "$STORE_DB" "$STORE_DB-wal" "$STORE_DB-shm"
 # Pass 1 populates the store; pass 2 (a fresh process) must hit it.
 python benchmarks/bench_cache.py \
     --benchmarks S1 S4 \

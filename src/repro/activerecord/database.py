@@ -62,7 +62,6 @@ order exactly.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, fields as _dataclass_fields
 
 from repro.obs import trace
@@ -102,19 +101,13 @@ def _copy_row(row: Dict[str, Any]) -> Dict[str, Any]:
 
 # -- indexing switch -----------------------------------------------------------
 
-_DEFAULT_INDEXING = os.environ.get("REPRO_ORM_INDEXING", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
+_DEFAULT_INDEXING = True
 
 
 def default_indexing() -> bool:
     """Whether new :class:`Database` instances build indexes (default on).
 
-    Seeded from the ``REPRO_ORM_INDEXING`` environment variable; flipped at
-    runtime by :func:`set_default_indexing` (the A/B hook used by
+    Flipped at runtime by :func:`set_default_indexing` (the A/B hook used by
     ``benchmarks/bench_orm.py`` to compare indexed and scan-only runs).
     """
 

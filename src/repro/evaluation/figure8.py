@@ -12,8 +12,7 @@ The sweep runs through one :class:`SynthesisSession`: a benchmark's three
 precision variants run back to back against *one* problem whose snapshot
 recordings are shared (spec outcomes are memoized per precision, so no
 outcome crosses precision levels, but the candidate-independent setup
-recordings are replayed instead of rebuilt -- the warm ``_with_precision``
-rework).  Pass ``--cold`` (or ``warm=False``) for the legacy fully isolated
+recordings are replayed instead of rebuilt).  Pass ``--cold`` (or ``warm=False``) for the legacy fully isolated
 cells, and ``--store`` to persist spec outcomes across sweep processes.
 """
 
@@ -102,8 +101,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--store",
-        help="persist spec outcomes to this store path (suffix selects the "
-        "backend: .sqlite/.sqlite3/.db for SQLite, anything else JSON)",
+        help="persist spec outcomes to this SQLite store path",
     )
     parser.add_argument(
         "--jobs",

@@ -18,11 +18,9 @@ list index (``frame[i]``), and ``let`` appends to / truncates the shared
 frame instead of copying a dict.  The invariant both backends maintain is
 ``len(frame) == len(scope)`` at every node entry; a frame is created fresh
 per outermost evaluation and abandoned wholesale when an error propagates
-out, so no unwinding bookkeeping is needed on the hot path.  With
-``REPRO_SLOT_FRAMES=0`` (the CI resolver-identity smoke) slot baking is
-disabled and every variable access scans the scope at run time instead --
-same frames, dynamic name resolution -- so a wrong precomputed slot cannot
-hide from the differential suite.
+out, so no unwinding bookkeeping is needed on the hot path.  The tree walker
+resolves names by scanning the frame instead of baking slots, so the
+backend differential tests catch a wrong precomputed slot.
 
 The closures are purely *structural*: method dispatch still happens at run
 time against the receiver's class through the shared evaluation context
@@ -47,7 +45,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang import values as V
-from repro.lang.resolve import slot_frames_enabled, slot_of
+from repro.lang.resolve import slot_of
 from repro.lang.values import ClassValue, HashValue, Symbol
 from repro.interp.backend import EvalBackend
 from repro.interp.effect_log import _ACTIVE_LOGS
@@ -86,30 +84,20 @@ class CompiledBackend(EvalBackend):
     def run(
         self, rt: "Interpreter", expr: A.Node, scope: Scope, frame: List[Any]
     ) -> Any:
-        # Same mode-tagged key as ``compile_node``: the fast path must never
-        # serve a slot-baked closure to resolver-identity mode (or vice
-        # versa) after a runtime ``set_slot_frames`` toggle.
-        key: Any = scope if slot_frames_enabled() else ("#dyn", scope)
         memo = expr.__dict__.get("_compiled")
         if memo is not None:
-            fn = memo.get(key)
+            fn = memo.get(scope)
             if fn is not None:
                 return fn(frame, rt)
         return compile_node(expr, scope)(frame, rt)
 
 
 def compile_node(node: A.Node, scope: Scope = ()) -> CompiledFn:
-    """The compiled closure for ``node`` under ``scope``, memoized on demand.
+    """The compiled closure for ``node`` under ``scope``, memoized on demand."""
 
-    With slot frames disabled (``REPRO_SLOT_FRAMES=0``) closures are
-    memoized under a mode-tagged key, so toggling the mode can never serve a
-    slot-baked closure to the dynamic-resolution path or vice versa.
-    """
-
-    key: Any = scope if slot_frames_enabled() else ("#dyn", scope)
     memo = node.__dict__.get("_compiled") if hasattr(node, "__dict__") else None
     if memo is not None:
-        fn = memo.get(key)
+        fn = memo.get(scope)
         if fn is not None:
             return fn
     fn = _compile(node, scope)
@@ -119,7 +107,7 @@ def compile_node(node: A.Node, scope: Scope = ()) -> CompiledFn:
             object.__setattr__(node, "_compiled", memo)
         elif len(memo) >= _COMPILE_MEMO_LIMIT:
             memo.clear()
-        memo[key] = fn
+        memo[scope] = fn
     return fn
 
 
@@ -137,7 +125,7 @@ def is_compiled(node: A.Node, scope: "Scope | None" = None) -> bool:
         return False
     if scope is None:
         return True
-    return scope in memo or ("#dyn", scope) in memo
+    return scope in memo
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +194,6 @@ def _compile_const_ref(node: A.ConstRef, scope: Scope) -> CompiledFn:
 
 def _compile_var(node: A.Var, scope: Scope) -> CompiledFn:
     name = node.name
-    if not slot_frames_enabled():
-        # Resolver-identity mode: same frames, but the name is resolved by
-        # scanning the (compile-time) scope at run time, innermost first.
-        def run_dynamic(frame: List[Any], rt: "Interpreter") -> Any:
-            for i in range(len(scope) - 1, -1, -1):
-                if scope[i] == name:
-                    return frame[i]
-            raise UnboundVariableError(name)
-
-        return run_dynamic
     index = slot_of(scope, name)
     if index is None:
         # An untaken branch may reference an unbound name, exactly as in the

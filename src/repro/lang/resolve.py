@@ -34,17 +34,15 @@ side.
 
 ``alpha_key`` is memoized *per context*: the key of a subtree depends on its
 position only through the De Bruijn distances of its free variables, so the
-memo is a small per-node dict keyed by that distance tuple.  The
-``REPRO_SLOT_FRAMES=0`` environment override (read at import, overridable for
-tests via :func:`set_slot_frames`) disables compile-time slot assignment: the
-compiled backend then resolves every variable by scanning the scope at run
-time, which CI uses as a resolver-identity smoke -- a wrong precomputed slot
-would diverge from the dynamic scan and fail the differential suite.
+memo is a small per-node dict keyed by that distance tuple.
+
+The tree walker never consults :func:`slot_of` -- it scans the frame
+innermost-first on its own -- so the tree-vs-compiled differential tests are
+the oracle for a wrong baked slot.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Hashable, Optional, Tuple
 
 from repro.lang import ast as A
@@ -53,23 +51,6 @@ from repro.lang import ast as A
 #: searches see a handful of binder layouts per subtree (same params, few
 #: fresh ``t0``-style names), so the bound only triggers on pathological use.
 _ALPHA_MEMO_LIMIT = 64
-
-_SLOT_FRAMES = os.environ.get("REPRO_SLOT_FRAMES", "1") != "0"
-
-
-def slot_frames_enabled() -> bool:
-    """Whether compile-time slot assignment is active (default: yes)."""
-
-    return _SLOT_FRAMES
-
-
-def set_slot_frames(enabled: bool) -> bool:
-    """Override the slot-frame mode (tests); returns the previous mode."""
-
-    global _SLOT_FRAMES
-    previous = _SLOT_FRAMES
-    _SLOT_FRAMES = enabled
-    return previous
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +202,5 @@ def _alpha_structural(node: A.Node, bound: Tuple[str, ...]) -> Hashable:
 __all__ = [
     "alpha_key",
     "free_var_tuple",
-    "set_slot_frames",
-    "slot_frames_enabled",
     "slot_of",
 ]

@@ -20,9 +20,9 @@ The public entry point is :class:`~repro.synth.session.SynthesisSession`: a
 context-managed engine owning the evaluation memo
 (:mod:`repro.synth.cache`), the snapshot managers
 (:mod:`repro.synth.state`), the base config and an optional persistent
-spec-outcome store (:mod:`repro.synth.store`).  ``session.run`` replaces the
-deprecated one-shot :func:`~repro.synth.synthesizer.synthesize`, and
-``session.sweep`` drives the evaluation harnesses.  See ``docs/API.md``.
+spec-outcome store (:mod:`repro.synth.store`).  ``session.run`` synthesizes
+one problem and ``session.sweep`` drives the evaluation harnesses.  See
+``docs/API.md``.
 """
 
 from repro.synth.cache import CacheStats, SynthCache
@@ -37,7 +37,7 @@ from repro.synth.state import (
     StateStats,
 )
 from repro.synth.store import SpecOutcomeStore, StoreStats
-from repro.synth.synthesizer import SynthesisResult, run_synthesis, synthesize
+from repro.synth.synthesizer import SynthesisResult, run_synthesis
 
 __all__ = [
     "CacheStats",
@@ -59,5 +59,4 @@ __all__ = [
     "SynthesisSession",
     "SynthesisResult",
     "run_synthesis",
-    "synthesize",
 ]

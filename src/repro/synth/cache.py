@@ -129,8 +129,8 @@ class CacheStats:
     def since(self, before: "CacheStats") -> "CacheStats":
         """The counter deltas accumulated after ``before`` was copied.
 
-        Used when one cache is shared across several ``synthesize`` calls
-        (the per-registry warm cache): each run reports only its own work.
+        Used when one cache is shared across several runs (a session's
+        warm cache): each run reports only its own work.
         """
 
         before_counts = before.as_dict()
@@ -185,9 +185,12 @@ class NodeInterner:
 class SynthCache:
     """Spec/guard evaluation memo plus the node interner of one run.
 
-    One instance is created per :func:`~repro.synth.synthesizer.synthesize`
-    call and threaded through the search, reuse and merge phases, so the
-    memo never outlives the problem state it was recorded against.
+    One instance is owned by each
+    :class:`~repro.synth.session.SynthesisSession` and threaded through the
+    search, reuse and merge phases of its runs; baseline invalidations
+    (:meth:`SynthesisProblem.invalidate_caches`) reach it through the
+    problem's cache registration, so the memo never outlives the problem
+    state it was recorded against.
     """
 
     def __init__(
@@ -374,16 +377,13 @@ class SynthCache:
         program: A.Node,
         spec: "Spec",
         outcome: Any,
-        write_through: bool = False,
     ) -> None:
         """Adopt an outcome another process executed (parallel absorption).
 
         Puts the entry exactly as :meth:`store_spec` would -- including the
         disabled-cache tracked-key bookkeeping, so redundancy counting stays
-        equivalent to a serial run -- but without touching any counter.
-        ``write_through`` additionally persists it to an attached store (used
-        when the executing worker had no store of its own, e.g. the JSON
-        backend whose document the owning session is the sole writer of).
+        equivalent to a serial run -- but without touching any counter or
+        the attached store (the executing worker persisted it already).
         ``outcome`` may be the module sentinel ``_TRACKED`` when absorbing a
         disabled cache's key-tracking export.
         """
@@ -392,8 +392,6 @@ class SynthCache:
             # A tracked key carries no outcome; seeding it into an enabled
             # memo would serve the sentinel as a result.
             return
-        if write_through and self.enabled and self.store is not None:
-            self.store.save_spec(problem, program, spec, outcome)
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("spec", problem, program, spec)
@@ -405,15 +403,12 @@ class SynthCache:
         program: A.Node,
         spec: "Spec",
         truthiness: Any,
-        write_through: bool = False,
     ) -> None:
         """Adopt a guard truthiness another process executed (see
         :meth:`seed_spec`)."""
 
         if self.enabled and truthiness is _TRACKED:
             return
-        if write_through and self.enabled and self.store is not None:
-            self.store.save_guard(problem, program, spec, truthiness)
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("guard", problem, program, spec)

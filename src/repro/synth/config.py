@@ -41,20 +41,6 @@ from repro.interp.backend import BACKEND_NAMES, default_backend_name
 from repro.lang.effects import PRECISION_PRECISE
 
 
-def default_static_pruning() -> bool:
-    """The process-default for ``SynthConfig.static_pruning``.
-
-    Honors the ``REPRO_STATIC_PRUNING`` environment variable (CI's ablation
-    hook, mirroring ``REPRO_EVAL_BACKEND``): unset or truthy enables the
-    static analyses, ``0``/``false``/``no``/``off`` disables them.
-    """
-
-    value = os.environ.get("REPRO_STATIC_PRUNING")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
-
-
 def default_trace_path() -> Optional[str]:
     """The process-default for ``SynthConfig.trace_path``.
 
@@ -120,9 +106,8 @@ class SynthConfig:
     # them (repro.analysis.prune -- sound by construction, so synthesized
     # programs are byte-identical with the knob off), and (2) fast-paths
     # statically write-pure candidates past the snapshot restore that would
-    # otherwise precede the next evaluation of the same spec.  The process
-    # default honors the REPRO_STATIC_PRUNING environment variable.
-    static_pruning: bool = field(default_factory=default_static_pruning)
+    # otherwise precede the next evaluation of the same spec.
+    static_pruning: bool = True
 
     # Opt-in debug mode for the snapshot subsystem's determinism contract:
     # when > 0, every Nth replay of a recorded spec re-runs the full

@@ -245,8 +245,8 @@ class SynthesisProblem:
         """The problem's snapshot/restore manager, or ``None`` without a database.
 
         Created on first use and kept for the problem's lifetime, so the warm
-        baseline and spec recordings are shared across repeated ``synthesize``
-        calls (e.g. a benchmark registry's runs).
+        baseline and spec recordings are shared across repeated synthesis
+        runs (e.g. a benchmark registry's runs).
         """
 
         if self.database is None:

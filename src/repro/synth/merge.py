@@ -201,12 +201,7 @@ class Merger:
                 trace.TRACER.absorb(task.trace_events)
             if self.worker_totals is not None:
                 self.worker_totals.add(task)
-            absorb_memo(
-                self.cache,
-                self.problem,
-                task.memo,
-                write_through=not self.executor.workers_have_store,
-            )
+            absorb_memo(self.cache, self.problem, task.memo)
             if task.timed_out:
                 self.stats.timed_out = True
                 raise SynthesisTimeout("timeout while synthesizing a guard")

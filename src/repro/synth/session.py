@@ -3,13 +3,8 @@
 The paper's evaluation is not one synthesis run but a long sequence of
 *related* runs: Table 1 medians repeat each benchmark, Figure 7 sweeps the
 four guidance modes and Figure 8 sweeps the three effect-annotation
-precisions.  Before this module, each harness hand-threaded the warm
-resources (``synthesize(problem, config, cache=..., state=...)``), precision
-overrides silently rebuilt the problem and dropped them, and nothing
-survived the process.
-
-A session is the engine object that owns everything a sequence of runs
-shares:
+precisions.  A session is the one entry point for all of them: the engine
+object that owns everything a sequence of runs shares:
 
 * the base :class:`~repro.synth.config.SynthConfig` (per-run overrides are
   applied on top);
@@ -21,14 +16,14 @@ shares:
   that share the original's manager and cache registration, so a Figure 8
   sweep replays recordings instead of rebuilding state);
 * optionally a persistent :class:`~repro.synth.store.SpecOutcomeStore`
-  (content-hash keyed, JSON-backed) so outcomes survive the process --
+  (content-hash keyed, SQLite-backed) so outcomes survive the process --
   repeated evaluation sweeps skip re-execution entirely.
 
 Typical use::
 
     from repro.synth import SynthConfig, SynthesisSession
 
-    with SynthesisSession(SynthConfig(timeout_s=30), store="outcomes.json") as s:
+    with SynthesisSession(SynthConfig(timeout_s=30), store="outcomes.sqlite") as s:
         result = s.run(problem)                       # one warm run
         entries = s.sweep(                            # problems x variants
             ["S1", "S4"],
@@ -36,8 +31,7 @@ Typical use::
         )
 
 ``session.sweep`` is the engine behind the Table 1 / Figure 7 / Figure 8
-harnesses and the CI bench gates; ``synthesize(...)`` remains as a
-deprecated shim that spins up a throwaway session for one run.
+harnesses and the CI bench gates.
 """
 
 from __future__ import annotations
@@ -110,20 +104,17 @@ class SynthesisSession:
         behavior follows the *session* config even when individual runs
         override other knobs.
     store:
-        ``None`` (no persistence), a filesystem path (the backend is chosen
-        by suffix: ``.sqlite``/``.sqlite3``/``.db`` open the concurrent-safe
-        SQLite backend, anything else the JSON document), or an existing
-        :class:`SpecOutcomeStore` to share.  The store is flushed on
-        ``close``/context exit.
+        ``None`` (no persistence), a filesystem path (opened as a SQLite
+        :class:`SpecOutcomeStore`), or an existing store to share.  The
+        store is flushed on ``close``/context exit.
     parallel:
         Default worker count for ``run``/``sweep`` (both also take a
         per-call ``parallel=`` override).  With more than one job the
         session owns a lazily-started
         :class:`~repro.synth.parallel.ParallelExecutor` worker pool:
         ``run`` fans the per-spec searches of registry-derived problems out
-        across workers, ``sweep`` distributes whole cells.  Workers share
-        outcomes through the session's store only for the SQLite backend
-        (with a JSON store the session remains the sole writer).
+        across workers, ``sweep`` distributes whole cells.  Workers open
+        the session's store themselves and share outcomes through it.
     """
 
     def __init__(
@@ -258,7 +249,6 @@ class SynthesisSession:
             effective,
             cache=self.cache,
             state=state,
-            external_cache=True,
             solution_hints=hints,
         )
         self._remember_solutions(runner, effective, result)
@@ -360,24 +350,10 @@ class SynthesisSession:
     ) -> List[SweepEntry]:
         """Distribute sweep cells over the worker pool, order-preserving.
 
-        Cell tasks run wholly inside a worker, so their outcomes are only
-        persisted when workers carry the store themselves -- the SQLite
-        backend.  A JSON store cannot be handed to workers and gets nothing
-        from cell tasks (unlike per-spec ``run`` fan-out, where the parent
-        absorbs and persists worker outcomes), so a parallel sweep against
-        one warns.
+        Cell tasks run wholly inside a worker, which persists their outcomes
+        to the session's store itself.
         """
 
-        if self.store is not None and self.store.backend != "sqlite":
-            import warnings
-
-            warnings.warn(
-                "parallel sweep cells do not persist outcomes to a "
-                f"{self.store.backend} store; use the SQLite backend "
-                "(e.g. a .sqlite path) for multi-process persistence",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         executor = self._executor_for(jobs)
         cells: List[Tuple[ProblemSource, Optional["BenchmarkSpec"], str, SynthConfig, Any]] = []
         for source in sources:
@@ -436,11 +412,9 @@ class SynthesisSession:
     def _executor_for(self, jobs: int) -> "ParallelExecutor":
         """The session's worker pool, (re)built for ``jobs`` workers.
 
-        Workers are handed the session's store only when it is the SQLite
-        backend -- its upserts are concurrent-safe -- and the parent's
-        connection is flushed first so workers see everything written so
-        far.  With a JSON store the session remains the sole writer and
-        persists worker outcomes itself during memo absorption.
+        Workers open the session's store by path -- its upserts are
+        concurrent-safe -- and the parent's connection is flushed first so
+        workers see everything written so far.
         """
 
         from repro.synth.parallel import ParallelExecutor
@@ -449,16 +423,12 @@ class SynthesisSession:
             self._executor.close()
             self._executor = None
         if self._executor is None:
-            store_path = store_backend = None
-            if self.store is not None and self.store.backend == "sqlite":
+            store_path = None
+            if self.store is not None:
                 self.store.flush()
                 store_path = self.store.path
-                store_backend = "sqlite"
             self._executor = ParallelExecutor(
-                jobs,
-                base_config=self.config,
-                store_path=store_path,
-                store_backend=store_backend,
+                jobs, base_config=self.config, store_path=store_path
             )
         return self._executor
 
@@ -588,8 +558,7 @@ class SynthesisSession:
         registration list, so outcomes memoized per precision coexist and
         the snapshot recordings (which are precision-independent: they
         capture candidate-free pre-invoke state) are replayed instead of
-        rebuilt.  This is the warm rework of the old ``_with_precision``
-        rebuild that dropped every warm resource.
+        rebuilt.
         """
 
         if problem.class_table.effect_precision == precision:

@@ -239,7 +239,7 @@ class StateManager:
 
     One instance lives on the :class:`~repro.synth.goal.SynthesisProblem`
     (lazily created by ``problem.state_manager()``), so the warm baseline and
-    spec recordings are shared across every ``synthesize`` call on that
+    spec recordings are shared across every synthesis run on that
     problem -- including repeated benchmark-registry runs.
     """
 

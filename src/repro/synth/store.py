@@ -1,4 +1,4 @@
-"""Persistent, content-hash-keyed spec-outcome stores (JSON and SQLite).
+"""Persistent, content-hash-keyed spec-outcome store (SQLite).
 
 The in-memory memo of :mod:`repro.synth.cache` dies with the process, but
 the paper's evaluation is a long sequence of *related* processes: Table 1
@@ -31,28 +31,18 @@ store-served :class:`~repro.synth.goal.SpecOutcome` carries ``value=None``.
 This is sufficient for synthesis to proceed identically: the search branches
 only on ``ok`` / ``passed_asserts`` / the failure's read effect.
 
-Two backends share the schema, the content-hash keys and the entry payloads,
-behind the dispatching :class:`SpecOutcomeStore` constructor (selected by
-path suffix, or forced with ``backend="json"``/``"sqlite"``):
+Entries live in one SQLite database (:class:`SpecOutcomeStore`): one row
+per entry in WAL mode with upsert writes, so several processes -- the
+:mod:`repro.synth.parallel` worker pools -- can share a store, and lookups
+read through to the database, so workers observe each other's flushed
+outcomes mid-run.
 
-* :class:`JsonSpecOutcomeStore` -- a single JSON document
-  (``{"version", "entries"}``) written atomically (temp file +
-  ``os.replace``).  Flush first merges the entries currently on disk into
-  the in-memory map, so two processes flushing the same path interleave
-  without losing each other's outcomes -- but the read-modify-write is not
-  atomic across processes, so heavily concurrent writers should use the
-  SQLite backend;
-* :class:`SQLiteSpecOutcomeStore` -- one row per entry in WAL mode with
-  upsert writes, the supported path for multi-process use
-  (:mod:`repro.synth.parallel` worker pools).  Lookups read through to the
-  database, so workers observe each other's flushed outcomes mid-run.
-
-A corrupted file, a file with a different schema version, or an individual
-malformed entry is ignored and counted in :class:`StoreStats`; the store
-never raises on bad persisted data.  Both backends track a last-hit order
-per entry, and :meth:`SpecOutcomeStore.compact` prunes the least recently
-hit entries beyond a bound (``scripts/store_tool.py`` wraps this, plus
-JSON <-> SQLite migration, as a CLI).
+A file that is not a database is moved aside to ``<path>.corrupt``; a
+database with a different schema version, or an individual malformed entry,
+is ignored.  Both are counted in :class:`StoreStats`; the store never raises
+on bad persisted data.  Every entry records its last-hit order, and
+:meth:`SpecOutcomeStore.compact` prunes the least recently hit entries
+beyond a bound (``scripts/store_tool.py`` wraps this as a CLI).
 
 Closures that capture mutable out-of-band state (beyond what the problem
 fingerprint covers) hash equal even when that state differs; like the
@@ -66,7 +56,6 @@ import hashlib
 import json
 import os
 import sqlite3
-import tempfile
 import types
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
@@ -85,9 +74,6 @@ STORE_VERSION = 1
 #: Sentinel distinguishing "no entry" from a stored ``None`` guard truthiness.
 STORE_MISS = object()
 
-#: Path suffixes dispatched to the SQLite backend (everything else is JSON).
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
 
 @dataclass
 class StoreStats:
@@ -98,14 +84,12 @@ class StoreStats:
     #: Persisted entries dropped at load: wrong shape, unknown kind.
     stale_dropped: int = 0
     #: Whether the backing file existed but could not be used (the store
-    #: then starts empty; the corrupt file is replaced on the next flush).
+    #: then starts empty; an unreadable file is kept at ``<path>.corrupt``).
     corrupt_file: bool = False
     writes: int = 0
     flushes: int = 0
     #: Entries pruned by :meth:`SpecOutcomeStore.compact`.
     compacted: int = 0
-    #: Entries adopted from a concurrent writer's flush (JSON merge-on-flush).
-    merged_in: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -115,7 +99,6 @@ class StoreStats:
             "writes": self.writes,
             "flushes": self.flushes,
             "compacted": self.compacted,
-            "merged_in": self.merged_in,
         }
 
     def copy(self) -> "StoreStats":
@@ -131,7 +114,6 @@ class StoreStats:
             writes=self.writes - before.writes,
             flushes=self.flushes - before.flushes,
             compacted=self.compacted - before.compacted,
-            merged_in=self.merged_in - before.merged_in,
         )
 
     def merge(self, other: "StoreStats") -> None:
@@ -144,7 +126,6 @@ class StoreStats:
         self.writes += other.writes
         self.flushes += other.flushes
         self.compacted += other.compacted
-        self.merged_in += other.merged_in
 
 
 # ---------------------------------------------------------------------------
@@ -331,50 +312,36 @@ def program_hash(program: "A.Node") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Backend dispatch
+# The store
 # ---------------------------------------------------------------------------
 
 
-def _backend_class(path: Any, backend: Optional[str]) -> type:
-    if backend is not None:
-        try:
-            return {"json": JsonSpecOutcomeStore, "sqlite": SQLiteSpecOutcomeStore}[
-                backend
-            ]
-        except KeyError:
-            raise ValueError(
-                f"unknown store backend {backend!r} (expected 'json' or 'sqlite')"
-            ) from None
-    suffix = os.path.splitext(os.fspath(path))[1].lower()
-    if suffix in SQLITE_SUFFIXES:
-        return SQLiteSpecOutcomeStore
-    return JsonSpecOutcomeStore
-
-
 class SpecOutcomeStore:
-    """Persistent memo of spec and guard outcomes, behind backend dispatch.
+    """Persistent memo of spec and guard outcomes, one SQLite row per entry.
 
     One store is owned by a :class:`~repro.synth.session.SynthesisSession`
     (or opened standalone) and attached to the session's
     :class:`~repro.synth.cache.SynthCache`, which consults it on in-memory
     misses and writes every executed outcome through.  ``flush`` persists
-    dirty entries; ``close`` flushes and detaches.
+    dirty entries; ``close`` flushes and releases the connection.
 
-    Constructing (or :meth:`open`-ing) the base class dispatches on the path
-    suffix -- :data:`SQLITE_SUFFIXES` select :class:`SQLiteSpecOutcomeStore`,
-    everything else :class:`JsonSpecOutcomeStore` -- or on an explicit
-    ``backend="json"``/``"sqlite"`` argument.
+    * WAL journal mode plus a generous busy timeout: concurrent readers
+      never block, and concurrent writers queue instead of failing;
+    * writes are buffered in memory and flushed as upserts in one immediate
+      transaction, so two worker processes writing the same store interleave
+      per key and lose nothing;
+    * lookups miss the write buffer and read through to the database, so a
+      worker observes outcomes other workers flushed mid-run;
+    * a ``last_hit`` sequence column records the hit order for
+      :meth:`compact` (hit touches are buffered and persisted on flush).
+
+    A database recorded under a different :data:`STORE_VERSION` is emptied
+    (and ``corrupt_file`` set).  A file SQLite cannot open at all -- e.g. a
+    JSON document -- is moved aside to ``<path>.corrupt`` and the store
+    starts empty in a new database at ``path``.
     """
 
-    #: Backend tag (``"json"`` / ``"sqlite"``), set by the subclasses.
-    backend = "json"
-
-    def __new__(cls, path: Any = None, backend: Optional[str] = None):
-        if cls is SpecOutcomeStore:
-            cls = _backend_class(path, backend)
-        return object.__new__(cls)
-
-    def __init__(self, path: str, backend: Optional[str] = None) -> None:
+    def __init__(self, path: "str | os.PathLike") -> None:
         self.path = os.fspath(path)
         self.stats = StoreStats()
         self._dirty = False
@@ -389,6 +356,11 @@ class SpecOutcomeStore:
         self._problem_fps: Dict[int, Tuple["SynthesisProblem", str]] = {}
         self._spec_hashes: Dict[Tuple[str, "Spec"], str] = {}
         self._program_hashes: Dict["A.Node", str] = {}
+        self._conn: Optional[sqlite3.Connection] = None
+        #: Buffered writes and hit touches, persisted by :meth:`flush`.
+        self._pending: Dict[str, Dict[str, object]] = {}
+        self._touched: Dict[str, None] = {}
+        self._clock = 0
         self._load()
 
     # ------------------------------------------------------------------ opening
@@ -396,13 +368,12 @@ class SpecOutcomeStore:
     @staticmethod
     def open(
         store: "SpecOutcomeStore | str | os.PathLike | None",
-        backend: Optional[str] = None,
     ) -> Optional["SpecOutcomeStore"]:
         """Coerce a path (or an existing store, or ``None``) into a store."""
 
         if store is None or isinstance(store, SpecOutcomeStore):
             return store
-        return SpecOutcomeStore(store, backend=backend)
+        return SpecOutcomeStore(store)
 
     # ------------------------------------------------------------------ keys
 
@@ -511,7 +482,7 @@ class SpecOutcomeStore:
     # ------------------------------------------------------------------ lifecycle
 
     def invalidate(self) -> None:
-        """Drop every entry (in memory and, at the next flush, on disk).
+        """Drop every entry, in memory and on disk.
 
         Called when a problem's baseline state changed *out of band*
         (:meth:`SynthesisProblem.invalidate_caches`): persisted outcomes are
@@ -521,7 +492,11 @@ class SpecOutcomeStore:
         become unreachable by construction.
         """
 
-        self._wipe()
+        self._pending.clear()
+        self._touched.clear()
+        with self._conn:
+            self._conn.execute("DELETE FROM entries")
+        self._dirty = False
         self._problem_fps.clear()
         self._spec_hashes.clear()
         self._program_hashes.clear()
@@ -529,250 +504,15 @@ class SpecOutcomeStore:
     def close(self) -> None:
         self.flush()
         self._closed = True
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def __enter__(self) -> "SpecOutcomeStore":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ backend hooks
-
-    def _load(self) -> None:
-        raise NotImplementedError
-
-    def _raw_get(self, key: str) -> Optional[Dict[str, object]]:
-        """The raw payload under ``key`` (touching its last-hit order)."""
-
-        raise NotImplementedError
-
-    def _raw_put(self, key: str, payload: Dict[str, object]) -> None:
-        raise NotImplementedError
-
-    def _wipe(self) -> None:
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        """All ``(key, payload)`` pairs, least recently hit first.
-
-        The raw-access API behind ``scripts/store_tool.py``'s backend
-        migration: iterating one store and :meth:`raw_put`-ing into another
-        preserves entries *and* their pruning order.
-        """
-
-        raise NotImplementedError
-
-    def raw_put(self, key: str, payload: Dict[str, object]) -> None:
-        """Insert one raw entry as the most recently hit (migration API)."""
-
-        if not _valid_entry(payload):
-            self.stats.stale_dropped += 1
-            return
-        self._raw_put(key, payload)
-        self.stats.writes += 1
-
-    def compact(self, max_entries: int) -> int:
-        """LRU-style pruning: keep the ``max_entries`` most recently hit.
-
-        Entries are ordered by last hit (lookups and writes both refresh an
-        entry's position); the oldest beyond the bound are dropped.  Returns
-        the number of pruned entries.  The ROADMAP growth-management
-        follow-up: stores are append-only otherwise, so long-lived sweep
-        stores eventually outgrow their usefulness.
-        """
-
-        raise NotImplementedError
-
-
-# ---------------------------------------------------------------------------
-# JSON backend
-# ---------------------------------------------------------------------------
-
-
-class JsonSpecOutcomeStore(SpecOutcomeStore):
-    """Single-document JSON backend (atomic temp-file + ``os.replace``).
-
-    The whole document is held in memory; entry order is the last-hit order
-    (Python dicts preserve insertion order, and hits/writes reinsert at the
-    end), which the document serializes, so compaction order survives the
-    process.  ``flush`` merges the entries currently on disk into the
-    in-memory map first, so concurrent writers no longer lose each other's
-    flushes wholesale -- but the read-merge-write is not atomic, so the
-    SQLite backend remains the supported path for multi-process writers.
-    """
-
-    backend = "json"
-
-    def __init__(self, path: str, backend: Optional[str] = None) -> None:
-        self._entries: Dict[str, Dict[str, object]] = {}
-        #: Set by :meth:`invalidate` and :meth:`compact`: the next flush
-        #: must overwrite the disk document instead of merging it back in
-        #: (dropped entries would otherwise be re-adopted from disk).
-        self._wiped = False
-        super().__init__(path, backend)
-
-    def _load(self) -> None:
-        entries, corrupt, stale = self._read_disk()
-        self.stats.corrupt_file = corrupt
-        self.stats.stale_dropped += stale
-        self._entries = entries
-        self.stats.loaded = len(self._entries)
-
-    def _read_disk(self) -> Tuple[Dict[str, Dict[str, object]], bool, int]:
-        """Parse the on-disk document: ``(valid entries, corrupt?, stale)``."""
-
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            return {}, False, 0
-        except (OSError, ValueError):
-            return {}, True, 0
-        if (
-            not isinstance(data, dict)
-            or data.get("version") != STORE_VERSION
-            or not isinstance(data.get("entries"), dict)
-        ):
-            # A future (or ancient) schema: ignore wholesale rather than
-            # misread entries recorded under different rules.
-            return {}, True, 0
-        entries: Dict[str, Dict[str, object]] = {}
-        stale = 0
-        for key, value in data["entries"].items():
-            if isinstance(key, str) and _valid_entry(value):
-                entries[key] = value
-            else:
-                stale += 1
-        return entries, False, stale
-
-    def _raw_get(self, key: str) -> Optional[Dict[str, object]]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            # Refresh the last-hit order (in memory only: a pure-read session
-            # does not dirty the document just by looking).
-            self._entries[key] = self._entries.pop(key)
-        return entry
-
-    def _raw_put(self, key: str, payload: Dict[str, object]) -> None:
-        self._entries.pop(key, None)
-        self._entries[key] = payload
-        self._dirty = True
-
-    def _wipe(self) -> None:
-        if self._entries:
-            self._entries.clear()
-        self._dirty = True
-        self._wiped = True
-
-    def compact(self, max_entries: int) -> int:
-        if max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
-        excess = len(self._entries) - max_entries
-        if excess <= 0:
-            return 0
-        for key in list(self._entries)[:excess]:
-            del self._entries[key]
-        self._dirty = True
-        # The next flush must overwrite the document: merging would re-adopt
-        # the pruned entries straight back from disk.
-        self._wiped = True
-        self.stats.compacted += excess
-        return excess
-
-    def flush(self) -> None:
-        """Merge the on-disk entries in, then persist atomically.
-
-        The merge fixes the last-flush-wins data loss of concurrent writers:
-        entries another process flushed since our load are adopted (ours win
-        per key) instead of being overwritten wholesale.  An
-        :meth:`invalidate` suppresses the merge for its next flush -- the
-        wipe must reach the disk.  No-op when nothing changed.
-        """
-
-        if not self._dirty or self._closed:
-            return
-        if not self._wiped:
-            disk, _corrupt, _stale = self._read_disk()
-            merged_in = 0
-            for key, value in disk.items():
-                if key not in self._entries:
-                    merged_in += 1
-            if merged_in:
-                # Disk-only entries are treated as older than anything we
-                # touched: they go first, our entries keep their order.
-                ours = self._entries
-                self._entries = {
-                    k: v for k, v in disk.items() if k not in ours
-                }
-                self._entries.update(ours)
-                self.stats.merged_in += merged_in
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        payload = json.dumps(
-            {"version": STORE_VERSION, "entries": self._entries},
-            separators=(",", ":"),
-        )
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self._dirty = False
-        self._wiped = False
-        self.stats.flushes += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.event("store.flush", backend="json", entries=len(self))
-
-    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        yield from list(self._entries.items())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-# ---------------------------------------------------------------------------
-# SQLite backend
-# ---------------------------------------------------------------------------
-
-
-class SQLiteSpecOutcomeStore(SpecOutcomeStore):
-    """One-row-per-entry SQLite backend, the supported multi-process path.
-
-    * WAL journal mode plus a generous busy timeout: concurrent readers
-      never block, and concurrent writers queue instead of failing;
-    * writes are buffered in memory and flushed as upserts in one immediate
-      transaction, so two worker processes writing the same store interleave
-      per key and lose nothing;
-    * lookups miss the write buffer and read through to the database, so a
-      worker observes outcomes other workers flushed mid-run;
-    * a ``last_hit`` sequence column records the hit order for
-      :meth:`compact` (hit touches are buffered and persisted on flush).
-
-    Schema-version handling mirrors the JSON document: a file recorded under
-    a different :data:`STORE_VERSION` is dropped wholesale (and
-    ``corrupt_file`` set), as is an unreadable database file.
-    """
-
-    backend = "sqlite"
-
-    def __init__(self, path: str, backend: Optional[str] = None) -> None:
-        self._conn: Optional[sqlite3.Connection] = None
-        self._pending: Dict[str, Dict[str, object]] = {}
-        self._touched: Dict[str, None] = {}
-        self._clock = 0
-        super().__init__(path, backend)
 
     # ------------------------------------------------------------------ schema
 
@@ -804,6 +544,7 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
             )
 
     def _load(self) -> None:
+        conn = None
         try:
             conn = self._connect()
             self._init_schema(conn)
@@ -811,26 +552,22 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
                 "SELECT value FROM meta WHERE key = 'version'"
             ).fetchone()
         except sqlite3.Error:
-            # An unreadable database (e.g. a JSON document renamed to .db):
-            # mirror the JSON corrupt-file behavior by starting empty.  The
-            # broken file is replaced so the store is usable from here on.
+            # Not a database (e.g. a JSON document): start empty, but move
+            # the file -- and any journal sidecars -- aside to
+            # ``<path>.corrupt`` instead of destroying what may be data.
             self.stats.corrupt_file = True
-            try:
-                if self._conn is not None:  # pragma: no cover - defensive
-                    self._conn.close()
-            finally:
-                self._conn = None
+            if conn is not None:
+                conn.close()
             for suffix in ("", "-wal", "-shm"):
                 try:
-                    os.unlink(self.path + suffix)
+                    os.replace(self.path + suffix, self.path + ".corrupt" + suffix)
                 except OSError:
                     pass
             conn = self._connect()
             self._init_schema(conn)
             row = (str(STORE_VERSION),)
         if row is None or row[0] != str(STORE_VERSION):
-            # Same contract as a wrong-version JSON document: entries
-            # recorded under different rules are ignored wholesale.
+            # Entries recorded under different rules are ignored wholesale.
             self.stats.corrupt_file = True
             with conn:
                 conn.execute("DELETE FROM entries")
@@ -857,6 +594,8 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         self._touched[key] = None
 
     def _raw_get(self, key: str) -> Optional[Dict[str, object]]:
+        """The raw payload under ``key`` (touching its last-hit order)."""
+
         pending = self._pending.get(key)
         if pending is not None:
             self._touch(key)
@@ -884,12 +623,28 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         self._touch(key)
         self._dirty = True
 
-    def _wipe(self) -> None:
-        self._pending.clear()
-        self._touched.clear()
-        with self._conn:
-            self._conn.execute("DELETE FROM entries")
-        self._dirty = False
+    def raw_put(self, key: str, payload: Dict[str, object]) -> None:
+        """Insert one raw entry as the most recently hit."""
+
+        if not _valid_entry(payload):
+            self.stats.stale_dropped += 1
+            return
+        self._raw_put(key, payload)
+        self.stats.writes += 1
+
+    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
+        """All ``(key, payload)`` pairs, least recently hit first."""
+
+        self.flush()
+        for key, payload in self._conn.execute(
+            "SELECT key, payload FROM entries ORDER BY last_hit ASC, key"
+        ):
+            try:
+                decoded = json.loads(payload)
+            except ValueError:
+                continue
+            if _valid_entry(decoded):
+                yield key, decoded
 
     def flush(self) -> None:
         """Upsert buffered writes and hit touches in one transaction."""
@@ -925,9 +680,17 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         self._dirty = False
         self.stats.flushes += 1
         if trace.TRACER.enabled:
-            trace.TRACER.event("store.flush", backend="sqlite", entries=len(self))
+            trace.TRACER.event("store.flush", entries=len(self))
 
     def compact(self, max_entries: int) -> int:
+        """LRU-style pruning: keep the ``max_entries`` most recently hit.
+
+        Entries are ordered by last hit (lookups and writes both refresh an
+        entry's position); the oldest beyond the bound are dropped.  Returns
+        the number of pruned entries.  Stores are append-only otherwise, so
+        long-lived sweep stores eventually outgrow their usefulness.
+        """
+
         if max_entries < 0:
             raise ValueError("max_entries must be >= 0")
         self.flush()
@@ -940,18 +703,6 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         pruned = cursor.rowcount if cursor.rowcount > 0 else 0
         self.stats.compacted += pruned
         return pruned
-
-    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        self.flush()
-        for key, payload in self._conn.execute(
-            "SELECT key, payload FROM entries ORDER BY last_hit ASC, key"
-        ):
-            try:
-                decoded = json.loads(payload)
-            except ValueError:
-                continue
-            if _valid_entry(decoded):
-                yield key, decoded
 
     def __len__(self) -> int:
         count = self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
@@ -969,9 +720,3 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
                 chunk,
             ).fetchone()[0]
         return count + len(pending) - persisted
-
-    def close(self) -> None:
-        super().close()
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None

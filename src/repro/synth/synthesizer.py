@@ -14,14 +14,11 @@
 The public entry point is :class:`repro.synth.session.SynthesisSession`,
 which owns the warm resources (evaluation memo, snapshot managers, the
 persistent spec-outcome store) and calls :func:`run_synthesis` with them.
-:func:`synthesize` remains as a deprecated one-shot shim over a throwaway
-session.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
@@ -89,50 +86,11 @@ class SynthesisResult:
         return f"<SynthesisResult {self.problem.name} {status} {self.elapsed_s:.2f}s>"
 
 
-def synthesize(
-    problem: SynthesisProblem,
-    config: Optional[SynthConfig] = None,
-    cache: Optional[SynthCache] = None,
-    state: Optional[StateManager] = None,
-) -> SynthesisResult:
-    """Deprecated one-shot entry point; use
-    :class:`repro.synth.session.SynthesisSession` instead.
-
-    Without explicit resources this creates a throwaway session for the
-    single run (so precision overrides still share the problem's snapshot
-    manager).  Passing ``cache``/``state`` keeps the legacy explicit
-    resource threading for callers that manage their own warm state.
-    """
-
-    warnings.warn(
-        "synthesize() is deprecated; use repro.synth.session.SynthesisSession"
-        " (session.run / session.sweep)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    config = config or SynthConfig()
-    if cache is None and state is None:
-        from repro.synth.session import SynthesisSession
-
-        with SynthesisSession(config) as session:
-            return session.run(problem)
-    if config.effect_precision != problem.class_table.effect_precision:
-        problem = _with_precision(problem, config.effect_precision)
-    if state is None and config.snapshot_state:
-        state = problem.state_manager()
-    elif not config.snapshot_state:
-        state = None
-    return run_synthesis(
-        problem, config, cache=cache, state=state, external_cache=cache is not None
-    )
-
-
 def run_synthesis(
     problem: SynthesisProblem,
     config: SynthConfig,
-    cache: Optional[SynthCache] = None,
+    cache: SynthCache,
     state: Optional[StateManager] = None,
-    external_cache: bool = False,
     solution_hints: Optional[Mapping] = None,
 ) -> SynthesisResult:
     """Synthesize a method satisfying every spec of ``problem``.
@@ -140,9 +98,9 @@ def run_synthesis(
     The engine core: assumes ``problem``'s class table is already at
     ``config.effect_precision`` (the session derives precision variants so
     warm resources survive; see ``SynthesisSession.run``).  ``cache`` and
-    ``state`` are the warm resources to use; with ``external_cache`` the
-    cache outlives this run (it stays registered on the problem and the
-    result reports counter deltas only).
+    ``state`` are the warm resources to use; the cache outlives this run
+    (it stays registered on the problem, so baseline invalidations keep
+    reaching it) and the result reports this run's counter deltas only.
 
     ``solution_hints`` maps specs to the expression a *previous* run of the
     same (problem, config) synthesized for them -- the Section 4 reuse
@@ -155,11 +113,10 @@ def run_synthesis(
 
     budget = Budget(config.timeout_s)
     stats = SearchStats()
-    cache = cache if cache is not None else SynthCache.from_config(config)
     problem.register_cache(cache)
     if state is not None:
         state.verify_every = config.verify_recordings
-    run = _RunCounters(problem, cache, state, external_cache)
+    run = _RunCounters(problem, cache, state)
     solutions: List[SpecSolution] = []
 
     try:
@@ -235,7 +192,7 @@ def run_synthesis(
 
 
 class _RunCounters:
-    """Baselines for the cache/state counters of one ``synthesize`` call.
+    """Baselines for the cache/state counters of one synthesis run.
 
     The memo and snapshot manager may be shared across runs (warm registry
     state), so each result reports only the deltas this run accumulated.
@@ -246,11 +203,9 @@ class _RunCounters:
         problem: SynthesisProblem,
         cache: SynthCache,
         state: Optional[StateManager],
-        external_cache: bool,
     ) -> None:
         self.cache = cache
         self.state = state
-        self.external_cache = external_cache
         self.cache_before = cache.stats.copy()
         self.state_before = state.stats.copy() if state is not None else None
         self.resets_before = problem.reset_replays
@@ -277,16 +232,8 @@ class _RunCounters:
         self.phases.append((phase, seconds))
 
     def finish(self, result: SynthesisResult) -> SynthesisResult:
-        """Fold this run's counter deltas into the result; release the cache.
+        """Fold this run's counter deltas into the result."""
 
-        A per-run cache is unregistered so repeated ``synthesize`` calls on
-        one long-lived problem do not accumulate dead caches; an external
-        (shared) cache stays registered so baseline invalidations keep
-        reaching it between runs.
-        """
-
-        if not self.external_cache:
-            result.problem.unregister_cache(self.cache)
         cache_stats = self.cache.stats.since(self.cache_before)
         result.cache_stats = cache_stats
         result.stats.cache_hits = cache_stats.hits
@@ -411,10 +358,3 @@ def _reuse_solution(
             return True
     return False
 
-
-def _with_precision(problem: SynthesisProblem, precision: str) -> SynthesisProblem:
-    """A copy of the problem whose class table uses ``precision`` annotations."""
-
-    from dataclasses import replace
-
-    return replace(problem, class_table=problem.class_table.coarsened(precision))

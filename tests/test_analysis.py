@@ -23,8 +23,7 @@ from repro.analysis import (
 )
 from repro.analysis.soundness import check_benchmark, check_expr_against_specs, search_candidates
 from repro.interp.effect_log import log_effect
-from repro.synth import SynthConfig, define, synthesize
-from repro.synth.config import default_static_pruning
+from repro.synth import SynthConfig, SynthesisSession, define
 from repro.synth.effect_guided import insert_effect_hole
 from repro.typesys.class_table import ClassTable, MethodSig
 from repro.typesys.typecheck import SynTypeError
@@ -245,7 +244,8 @@ def test_static_pruning_is_transparent_and_cheaper(backend):
         config = SynthConfig(
             timeout_s=30, eval_backend=backend, static_pruning=enabled
         )
-        results[enabled] = synthesize(problem, config)
+        with SynthesisSession(config) as session:
+            results[enabled] = session.run(problem)
     off, on = results[False], results[True]
     assert off.success and on.success
     assert off.program == on.program  # byte-identical synthesis
@@ -254,17 +254,6 @@ def test_static_pruning_is_transparent_and_cheaper(backend):
     assert ops_on < ops_off
     assert on.stats.state_pure_skips > 0
     assert off.stats.state_pure_skips == 0 and off.stats.static_prunes == 0
-
-
-def test_static_pruning_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_STATIC_PRUNING", raising=False)
-    assert default_static_pruning()
-    assert SynthConfig().static_pruning
-    monkeypatch.setenv("REPRO_STATIC_PRUNING", "0")
-    assert not default_static_pruning()
-    assert not SynthConfig().static_pruning
-    monkeypatch.setenv("REPRO_STATIC_PRUNING", "yes")
-    assert SynthConfig().static_pruning
 
 
 def test_insert_effect_hole_counts_type_fallbacks(blog_problem):

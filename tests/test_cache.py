@@ -11,7 +11,7 @@ from repro.lang import ast as A
 from repro.lang import types as T
 from repro.apps.blog import build_blog_app, seed_blog
 from repro.benchmarks import get_benchmark, run_benchmark
-from repro.synth import SynthConfig, define, evaluate_spec, synthesize
+from repro.synth import SynthConfig, SynthesisSession, define, evaluate_spec
 from repro.synth.cache import MISSING, NodeInterner, SynthCache
 from repro.synth.goal import (
     Budget,
@@ -173,9 +173,10 @@ def test_untracked_disabled_cache_is_a_noop_baseline(mutable_seed_problem):
 
 
 def test_synthesize_releases_its_cache(blog_problem):
-    result = synthesize(blog_problem, SynthConfig(timeout_s=30))
+    with SynthesisSession(SynthConfig(timeout_s=30)) as session:
+        result = session.run(blog_problem)
     assert result.success
-    # The per-run cache must not stay registered on a long-lived problem.
+    # The session's cache must not stay registered on a long-lived problem.
     assert blog_problem._caches == []
 
 
@@ -299,7 +300,8 @@ def test_synthesis_results_identical_with_and_without_cache(benchmark_id):
 
 
 def test_synthesize_surfaces_cache_stats(blog_problem):
-    result = synthesize(blog_problem, SynthConfig(timeout_s=30))
+    with SynthesisSession(SynthConfig(timeout_s=30)) as session:
+        result = session.run(blog_problem)
     assert result.success
     assert result.cache_stats is not None
     assert result.stats.cache_misses == result.cache_stats.misses

@@ -383,29 +383,3 @@ def test_deep_shadowing_tower_resolves_innermost(orm_class_table, backend):
         expr = A.Let("v", A.IntLit(depth), expr)
     interp = Interpreter(orm_class_table, backend=backend)
     assert interp.eval(expr, {"v": -1}) == 30
-
-
-def test_resolver_identity_mode_matches_slot_mode(orm_class_table, post_model):
-    """REPRO_SLOT_FRAMES=0 (dynamic scan) agrees with baked slots."""
-
-    from repro.lang.resolve import set_slot_frames, slot_frames_enabled
-
-    ambient_slots = slot_frames_enabled()
-    post_model.create(author="a", title="Hello", slug="hw")
-    env = {"p": post_model.first(), "n": 5, "s": "hw", "flag": True}
-    scope = tuple(env)
-    for expr in _SHADOWING_CASES:
-        baked = _observe("compiled", orm_class_table, expr, env)
-        previous = set_slot_frames(False)
-        try:
-            dynamic = _observe("compiled", orm_class_table, expr, env)
-        finally:
-            set_slot_frames(previous)
-        assert baked == dynamic, f"slot modes diverge on {pretty(expr)}"
-        # The dynamic run compiled its own mode-tagged closure rather than
-        # being served the slot-baked one (when the suite itself runs under
-        # REPRO_SLOT_FRAMES=0 both runs are dynamic, so only #dyn exists).
-        memo = expr.__dict__.get("_compiled")
-        assert memo is not None and ("#dyn", scope) in memo
-        if ambient_slots:
-            assert scope in memo

@@ -102,15 +102,6 @@ def test_fresh_state_falls_back_to_serial():
     assert result.stats.parallel_tasks == 0
 
 
-def test_parallel_sweep_with_json_store_warns(tmp_path):
-    """Cell tasks cannot persist to a JSON store; the sweep must say so."""
-
-    path = str(tmp_path / "outcomes.json")
-    with SynthesisSession(SynthConfig(timeout_s=60), store=path, parallel=2) as session:
-        with pytest.warns(RuntimeWarning, match="SQLite backend"):
-            session.sweep(["S1"], warm=True)
-
-
 def test_run_benchmark_parallel_matches_serial():
     benchmark = get_benchmark("S5")
     config = SynthConfig(timeout_s=60)
@@ -201,17 +192,21 @@ def test_two_process_sqlite_store_round_trip(tmp_path):
             serial.close()
 
 
-def test_parallel_run_with_json_store_persists_via_parent(tmp_path):
-    """With a JSON store workers stay store-less; the parent writes through."""
+def test_parallel_run_with_store_persists_via_workers(tmp_path):
+    """Per-spec workers write the outcomes they execute to the shared store."""
 
-    path = str(tmp_path / "outcomes.json")
+    path = str(tmp_path / "outcomes.sqlite")
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config, store=path, parallel=2) as session:
         first = session.run("S4")
-        assert session.store.backend == "json"
+        parent_writes = session.store.stats.writes
     assert first.success
+    assert first.stats.parallel_tasks > 0
 
     with SynthesisSession(config, store=path) as fresh:
+        # The parent wrote at most ``parent_writes`` distinct entries; the
+        # rest on disk came from the workers.
+        assert fresh.store.stats.loaded > parent_writes
         second = fresh.run("S4")
     assert second.program == first.program
     assert second.stats.store_hits >= 1

@@ -16,8 +16,6 @@ from repro.lang import ast as A
 from repro.lang.resolve import (
     alpha_key,
     free_var_tuple,
-    set_slot_frames,
-    slot_frames_enabled,
     slot_of,
 )
 
@@ -89,18 +87,6 @@ def test_slot_of_shadowing_resolves_innermost():
     assert slot_of(scope, "v") == 2
     assert slot_of(scope, "n") == 1
     assert slot_of(("v", "v", "v"), "v") == 2
-
-
-def test_slot_frames_toggle_roundtrip():
-    ambient = slot_frames_enabled()
-    try:
-        previous = set_slot_frames(False)
-        assert previous == ambient
-        assert not slot_frames_enabled()
-        assert set_slot_frames(True) is False
-        assert slot_frames_enabled()
-    finally:
-        set_slot_frames(ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Tests for the SynthesisSession engine API and the persistent spec-outcome
 store (repro.synth.session / repro.synth.store): shared-vs-cold run
 equivalence, warm precision sweeps, sweep normalization, store round-trips
-across simulated process boundaries, corrupted/stale store handling, and
-parity of the deprecated ``synthesize`` shim."""
+across simulated process boundaries, and corrupted/stale store handling."""
 
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -16,7 +16,6 @@ from repro.synth import (
     SpecOutcomeStore,
     SynthConfig,
     SynthesisSession,
-    synthesize,
 )
 from repro.synth.store import (
     STORE_VERSION,
@@ -92,18 +91,6 @@ def test_session_close_unregisters_cache_and_rejects_runs():
         session.run("S1")
 
 
-def test_deprecated_synthesize_shim_parity():
-    benchmark = get_benchmark("S1")
-    config = SynthConfig(timeout_s=60)
-    with pytest.warns(DeprecationWarning, match="SynthesisSession"):
-        legacy = synthesize(benchmark.build(), config)
-    with SynthesisSession(config) as session:
-        modern = session.run(benchmark.build())
-    assert legacy.success and modern.success
-    assert legacy.program == modern.program
-    assert legacy.pretty() == modern.pretty()
-
-
 # ---------------------------------------------------------------------------
 # sweep(): variants, warm vs cold isolation
 # ---------------------------------------------------------------------------
@@ -157,7 +144,7 @@ def test_sweep_variant_normalization():
 def test_store_round_trip_across_sessions(tmp_path, benchmark_id):
     """Write in one session, reopen in another process-simulated session."""
 
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config, store=str(path)) as first_session:
         first = first_session.run(benchmark_id)
@@ -175,7 +162,7 @@ def test_store_round_trip_across_sessions(tmp_path, benchmark_id):
 
 
 def test_clear_memory_caches_falls_back_to_store(tmp_path):
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         first = session.run("S1")
         assert first.stats.store_hits == 0
@@ -185,68 +172,90 @@ def test_clear_memory_caches_falls_back_to_store(tmp_path):
     assert second.stats.store_hits >= 1
 
 
+def _rows(path):
+    """The store's persisted ``(key, payload)`` rows, read with plain sqlite3."""
+
+    conn = sqlite3.connect(str(path))
+    try:
+        return conn.execute("SELECT key, payload FROM entries").fetchall()
+    finally:
+        conn.close()
+
+
 def test_store_corrupted_file_is_ignored(tmp_path):
-    path = tmp_path / "outcomes.json"
-    path.write_text("{not json!", encoding="utf-8")
+    path = tmp_path / "outcomes.sqlite"
+    path.write_text("{not json! and not sqlite either", encoding="utf-8")
     store = SpecOutcomeStore(str(path))
     assert store.stats.corrupt_file
     assert len(store) == 0
     with SynthesisSession(SynthConfig(timeout_s=60), store=store) as session:
         result = session.run("S1")
     assert result.success
-    # The corrupt file was overwritten with a valid store on flush.
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert data["version"] == STORE_VERSION and data["entries"]
+    # A fresh database replaced the unreadable file, which was kept aside.
+    assert _rows(path)
+    assert (tmp_path / "outcomes.sqlite.corrupt").read_text(encoding="utf-8") == (
+        "{not json! and not sqlite either"
+    )
 
 
 def test_store_wrong_schema_version_is_ignored(tmp_path):
-    path = tmp_path / "outcomes.json"
-    path.write_text(
-        json.dumps({"version": 999, "entries": {"k": {"v": 999, "kind": "spec"}}}),
-        encoding="utf-8",
-    )
+    path = tmp_path / "outcomes.sqlite"
+    with SpecOutcomeStore(str(path)) as store:
+        store.raw_put("k", {"v": STORE_VERSION, "kind": "guard", "truth": True})
+    conn = sqlite3.connect(str(path))
+    with conn:
+        conn.execute("UPDATE meta SET value = '999' WHERE key = 'version'")
+    conn.close()
     store = SpecOutcomeStore(str(path))
     assert store.stats.corrupt_file
     assert len(store) == 0
+    store.close()
 
 
 def test_store_stale_entries_are_dropped(tmp_path):
-    path = tmp_path / "outcomes.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": STORE_VERSION,
-                "entries": {
-                    "bad-version": {"v": 999, "kind": "spec", "ok": True},
-                    "bad-kind": {"v": STORE_VERSION, "kind": "mystery"},
-                    "not-a-dict": 5,
-                    "good": {
-                        "v": STORE_VERSION,
-                        "kind": "guard",
-                        "truth": True,
-                    },
-                },
-            }
-        ),
-        encoding="utf-8",
-    )
+    path = tmp_path / "outcomes.sqlite"
+    with SpecOutcomeStore(str(path)) as store:
+        store.raw_put("good", {"v": STORE_VERSION, "kind": "guard", "truth": True})
+    conn = sqlite3.connect(str(path))
+    with conn:
+        conn.executemany(
+            "INSERT INTO entries (key, kind, v, payload) VALUES (?, ?, ?, ?)",
+            [
+                ("bad-version", "spec", 999, json.dumps({"v": 999, "kind": "spec"})),
+                ("bad-kind", "mystery", STORE_VERSION, "{}"),
+                ("not-a-dict", "guard", STORE_VERSION, "5"),
+            ],
+        )
+    conn.close()
     store = SpecOutcomeStore(str(path))
-    assert store.stats.loaded == 1
+    # Wrong version and kind are dropped at load; a row whose payload does
+    # not decode to an entry is dropped when first looked up.
+    assert store.stats.loaded == 2
+    assert store.stats.stale_dropped == 2
+    assert store._raw_get("not-a-dict") is None
     assert store.stats.stale_dropped == 3
+    assert len(store) == 1
+    store.close()
 
 
 def test_store_malformed_entry_payload_is_a_miss(tmp_path):
     """An entry that loads but cannot be decoded is treated as stale."""
 
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         session.run("S1")
-    data = json.loads(path.read_text(encoding="utf-8"))
     # Corrupt every spec payload in place (keep the entry shape valid).
-    for entry in data["entries"].values():
-        if entry["kind"] == "spec":
-            entry["ok"] = "definitely-not-a-bool"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    conn = sqlite3.connect(str(path))
+    with conn:
+        for key, payload in conn.execute("SELECT key, payload FROM entries").fetchall():
+            entry = json.loads(payload)
+            if entry["kind"] == "spec":
+                entry["ok"] = "definitely-not-a-bool"
+                conn.execute(
+                    "UPDATE entries SET payload = ? WHERE key = ?",
+                    (json.dumps(entry), key),
+                )
+    conn.close()
 
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         result = session.run("S1")
@@ -255,7 +264,7 @@ def test_store_malformed_entry_payload_is_a_miss(tmp_path):
 
 
 def test_store_disabled_cache_never_consults_store(tmp_path):
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config, store=str(path)) as session:
         session.run("S1")
@@ -267,14 +276,13 @@ def test_store_disabled_cache_never_consults_store(tmp_path):
 
 
 def test_invalidate_caches_wipes_attached_store(tmp_path):
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         session.run("S1")
         assert len(session.store) > 0
         session.problem_for("S1").invalidate_caches()
         assert len(session.store) == 0
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert data["entries"] == {}
+    assert _rows(path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +361,7 @@ def test_two_pass_figure8_sweep_matches_cold_and_hits_store(tmp_path):
     variants = [(p, {"effect_precision": p}) for p in PRECISIONS]
     config = SynthConfig.full(timeout_s=60)
 
-    with SynthesisSession(config, store=str(tmp_path / "store.json")) as session:
+    with SynthesisSession(config, store=str(tmp_path / "store.sqlite")) as session:
         pass1 = session.sweep(["S1"], variants)
         session.clear_memory_caches()
         pass2 = session.sweep(["S1"], variants)

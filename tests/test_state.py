@@ -19,7 +19,7 @@ from repro.apps.gitlab import build_gitlab_app, seed_issues, seed_two_factor_use
 from repro.benchmarks import all_benchmarks, get_benchmark, run_benchmark
 from repro.lang import ast as A
 from repro.lang.values import HashValue, Symbol
-from repro.synth import SynthConfig, define, synthesize
+from repro.synth import SynthConfig, SynthesisSession, define
 from repro.synth.goal import evaluate_all_specs, evaluate_spec
 from repro.synth.state import StateManager
 
@@ -576,7 +576,8 @@ def test_synthesis_identical_with_and_without_snapshots(benchmark_id):
         config = benchmark.make_config(
             SynthConfig.full(timeout_s=60.0, snapshot_state=snapshots)
         )
-        results[snapshots] = synthesize(benchmark.build(), config)
+        with SynthesisSession(config) as session:
+            results[snapshots] = session.run(benchmark.build())
     assert results[False].success and results[True].success
     assert results[False].program == results[True].program
     with_snapshots = results[True]

@@ -1,8 +1,6 @@
-"""Backend-parametrized tests for the persistent spec-outcome store
-(repro.synth.store): the JSON document and the SQLite database must pass the
-same suite -- round-trips, corruption, schema versions, invalidation,
-LRU compaction -- plus the backend-specific concurrency contracts (JSON
-merge-on-flush, SQLite multi-process writers) and the ``store_tool`` CLI."""
+"""Tests for the persistent SQLite spec-outcome store (repro.synth.store):
+round-trips, corruption, schema versions, invalidation, LRU compaction, the
+multi-process writer contract and the ``store_tool`` CLI."""
 
 from __future__ import annotations
 
@@ -16,19 +14,13 @@ import sys
 import pytest
 
 from repro.synth import SynthConfig, SynthesisSession
-from repro.synth.store import (
-    SQLITE_SUFFIXES,
-    STORE_VERSION,
-    JsonSpecOutcomeStore,
-    SpecOutcomeStore,
-    SQLiteSpecOutcomeStore,
-)
+from repro.synth.store import STORE_VERSION, SpecOutcomeStore
 
-BACKENDS = ["json", "sqlite"]
+BACKENDS = ["sqlite"]
 
 
 def _path(tmp_path, backend: str):
-    return str(tmp_path / ("outcomes.json" if backend == "json" else "outcomes.sqlite"))
+    return str(tmp_path / "outcomes.sqlite")
 
 
 def _entry(truth=True):
@@ -36,31 +28,15 @@ def _entry(truth=True):
 
 
 # ---------------------------------------------------------------------------
-# Backend dispatch
+# Opening
 # ---------------------------------------------------------------------------
-
-
-def test_suffix_dispatch(tmp_path):
-    assert isinstance(SpecOutcomeStore(str(tmp_path / "a.json")), JsonSpecOutcomeStore)
-    for suffix in SQLITE_SUFFIXES:
-        store = SpecOutcomeStore(str(tmp_path / f"a{suffix}"))
-        assert isinstance(store, SQLiteSpecOutcomeStore)
-        store.close()
-
-
-def test_explicit_backend_overrides_suffix(tmp_path):
-    store = SpecOutcomeStore(str(tmp_path / "odd.dat"), backend="sqlite")
-    assert store.backend == "sqlite"
-    store.close()
-    assert SpecOutcomeStore(str(tmp_path / "odd2.dat")).backend == "json"
-    with pytest.raises(ValueError):
-        SpecOutcomeStore(str(tmp_path / "x.json"), backend="mystery")
 
 
 def test_open_passes_through_instances_and_none(tmp_path):
     assert SpecOutcomeStore.open(None) is None
-    store = SpecOutcomeStore(str(tmp_path / "a.json"))
+    store = SpecOutcomeStore(str(tmp_path / "a.sqlite"))
     assert SpecOutcomeStore.open(store) is store
+    store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +54,6 @@ def test_round_trip_across_sessions(tmp_path, backend):
     assert os.path.exists(path)
 
     with SynthesisSession(config, store=path) as second_session:
-        assert second_session.store.backend == backend
         assert second_session.store.stats.loaded > 0
         second = second_session.run("S4")
     assert second.success
@@ -105,20 +80,37 @@ def test_corrupted_file_is_ignored(tmp_path, backend):
     reopened.close()
 
 
+def test_unreadable_file_is_moved_aside_not_deleted(tmp_path):
+    """A file SQLite cannot open (here a JSON store document from an older
+    release) is kept intact at ``<path>.corrupt``; the store starts empty."""
+
+    path = str(tmp_path / "outcomes.json")
+    document = json.dumps({"version": STORE_VERSION, "entries": {"k": _entry()}})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(document)
+    store = SpecOutcomeStore(path)
+    assert store.stats.corrupt_file
+    assert len(store) == 0
+    store.raw_put("fresh", _entry())
+    store.close()
+    with open(path + ".corrupt", encoding="utf-8") as fh:
+        assert fh.read() == document
+    reopened = SpecOutcomeStore(path)
+    assert not reopened.stats.corrupt_file
+    assert dict(reopened.raw_entries()) == {"fresh": _entry()}
+    reopened.close()
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_wrong_schema_version_is_dropped_wholesale(tmp_path, backend):
     path = _path(tmp_path, backend)
-    if backend == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"version": 999, "entries": {"k": _entry()}}, fh)
-    else:
-        store = SpecOutcomeStore(path)
-        store.raw_put("k", _entry())
-        store.close()
-        conn = sqlite3.connect(path)
-        with conn:
-            conn.execute("UPDATE meta SET value = '999' WHERE key = 'version'")
-        conn.close()
+    store = SpecOutcomeStore(path)
+    store.raw_put("k", _entry())
+    store.close()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute("UPDATE meta SET value = '999' WHERE key = 'version'")
+    conn.close()
     store = SpecOutcomeStore(path)
     assert store.stats.corrupt_file
     assert len(store) == 0
@@ -132,25 +124,18 @@ def test_stale_entries_are_dropped_at_load(tmp_path, backend):
     store.raw_put("good", _entry())
     store.flush()
     store.close()
-    if backend == "json":
-        data = json.loads(open(path, encoding="utf-8").read())
-        data["entries"]["bad-version"] = {"v": 999, "kind": "spec", "ok": True}
-        data["entries"]["bad-kind"] = {"v": STORE_VERSION, "kind": "mystery"}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-    else:
-        conn = sqlite3.connect(path)
-        with conn:
-            conn.execute(
-                "INSERT INTO entries (key, kind, v, payload, last_hit)"
-                " VALUES ('bad-version', 'spec', 999, '{}', 99)"
-            )
-            conn.execute(
-                "INSERT INTO entries (key, kind, v, payload, last_hit)"
-                " VALUES ('bad-kind', 'mystery', ?, '{}', 99)",
-                (STORE_VERSION,),
-            )
-        conn.close()
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(
+            "INSERT INTO entries (key, kind, v, payload, last_hit)"
+            " VALUES ('bad-version', 'spec', 999, '{}', 99)"
+        )
+        conn.execute(
+            "INSERT INTO entries (key, kind, v, payload, last_hit)"
+            " VALUES ('bad-kind', 'mystery', ?, '{}', 99)",
+            (STORE_VERSION,),
+        )
+    conn.close()
     store = SpecOutcomeStore(path)
     assert store.stats.loaded == 1
     assert store.stats.stale_dropped == 2
@@ -172,7 +157,7 @@ def test_invalidate_caches_wipes_attached_store(tmp_path, backend):
 
 
 # ---------------------------------------------------------------------------
-# Compaction (LRU on last-hit order) and migration
+# Compaction (LRU on last-hit order)
 # ---------------------------------------------------------------------------
 
 
@@ -205,36 +190,8 @@ def test_compact_noop_below_bound(tmp_path, backend):
     store.close()
 
 
-@pytest.mark.parametrize("direction", ["json->sqlite", "sqlite->json"])
-def test_store_tool_migrate_round_trip(tmp_path, direction):
-    src_backend, dst_backend = direction.split("->")
-    src_path = _path(tmp_path, src_backend)
-    dst_path = _path(tmp_path, dst_backend)
-    with SynthesisSession(SynthConfig(timeout_s=60), store=src_path) as session:
-        first = session.run("S1")
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "store_tool.py"),
-         "migrate", src_path, dst_path],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report["copied"] == len(SpecOutcomeStore(src_path))
-    assert report["dst"]["backend"] == dst_backend
-
-    # The migrated store answers a fresh session without re-execution.
-    with SynthesisSession(SynthConfig(timeout_s=60), store=dst_path) as session:
-        second = session.run("S1")
-    assert second.program == first.program
-    assert second.stats.store_hits >= 1
-    assert second.stats.reset_replays == 0
-
-
 def test_store_tool_info_and_compact(tmp_path):
-    path = _path(tmp_path, "json")
+    path = _path(tmp_path, "sqlite")
     store = SpecOutcomeStore(path)
     for i in range(4):
         store.raw_put(f"k{i}", _entry())
@@ -249,7 +206,7 @@ def test_store_tool_info_and_compact(tmp_path):
             env=env, capture_output=True, text=True,
         ).stdout
     )
-    assert info["entries"] == 4 and info["backend"] == "json"
+    assert info["entries"] == 4 and info["by_kind"] == {"spec": 0, "guard": 4}
     compacted = json.loads(
         subprocess.run(
             [sys.executable, tool, "compact", path, "--max-entries", "1"],
@@ -262,31 +219,6 @@ def test_store_tool_info_and_compact(tmp_path):
 # ---------------------------------------------------------------------------
 # Concurrency contracts
 # ---------------------------------------------------------------------------
-
-
-def test_json_concurrent_flush_merges_instead_of_losing(tmp_path):
-    """The last-flush-wins data loss: two writers' flushes must both survive."""
-
-    path = str(tmp_path / "shared.json")
-    first = SpecOutcomeStore(path)
-    second = SpecOutcomeStore(path)  # loaded before first writes anything
-    first.raw_put("from-first", _entry(True))
-    first.flush()
-    second.raw_put("from-second", _entry(False))
-    second.flush()  # pre-fix this overwrote the document, dropping from-first
-    assert second.stats.merged_in == 1
-    merged = dict(SpecOutcomeStore(path).raw_entries())
-    assert set(merged) == {"from-first", "from-second"}
-
-
-def test_json_invalidate_still_wipes_disk_despite_merge(tmp_path):
-    path = str(tmp_path / "shared.json")
-    store = SpecOutcomeStore(path)
-    store.raw_put("k", _entry())
-    store.flush()
-    store.invalidate()
-    store.flush()
-    assert json.loads(open(path, encoding="utf-8").read())["entries"] == {}
 
 
 def _sqlite_writer(path: str, prefix: str, count: int) -> None:

@@ -10,7 +10,7 @@ from repro.lang import types as T
 from repro.lang.effects import Effect
 from repro.lang.pretty import pretty, pretty_block
 from repro.apps.blog import build_blog_app, seed_blog
-from repro.synth import SynthConfig, define, evaluate_spec, synthesize
+from repro.synth import SynthConfig, SynthesisSession, define, evaluate_spec
 from repro.synth.config import ORDER_FIFO
 from repro.synth.effect_guided import expand_effect_hole, insert_effect_hole, writers_for
 from repro.synth.enumerate import expand_typed_hole
@@ -287,8 +287,8 @@ def test_merge_produces_branching_program_for_s5():
     from repro.benchmarks import get_benchmark
 
     benchmark = get_benchmark("S5")
-    problem = benchmark.build()
-    result = synthesize(problem, benchmark.make_config(SynthConfig(timeout_s=60)))
+    with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+        result = session.run(benchmark)
     assert result.success
     assert result.paths == 2
     assert isinstance(result.program.body, A.If)
@@ -298,8 +298,8 @@ def test_merge_folds_boolean_branches_for_s7():
     from repro.benchmarks import get_benchmark
 
     benchmark = get_benchmark("S7")
-    problem = benchmark.build()
-    result = synthesize(problem, benchmark.make_config(SynthConfig(timeout_s=60)))
+    with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+        result = session.run(benchmark)
     assert result.success
     assert result.paths == 1
     assert not isinstance(result.program.body, A.If)
@@ -357,6 +357,7 @@ def test_synthesize_reports_timeout_on_impossible_goal():
         lambda ctx: ctx.invoke("x"),
         lambda ctx, r: ctx.assert_(lambda: False),
     )
-    result = synthesize(problem, SynthConfig(timeout_s=0.5))
+    with SynthesisSession(SynthConfig(timeout_s=0.5)) as session:
+        result = session.run(problem)
     assert not result.success
     assert result.timed_out or result.program is None
