@@ -2,7 +2,7 @@
 
 For each selected registry benchmark the harness synthesizes twice with the
 same configuration -- once with ``eval_backend="tree"`` (the definitional
-walker) and once with ``eval_backend="compiled"`` (hash-consed subtrees
+walker) and once with ``eval_backend="compiled"`` (subtrees
 closed into cached closures, :mod:`repro.interp.compile`) -- and emits a
 JSON report comparing the two runs:
 

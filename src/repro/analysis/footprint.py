@@ -18,10 +18,10 @@ Anything the analysis cannot type (unknown method, unbound variable, nil
 receiver) widens to TOP through the :func:`footprint` wrapper -- callers
 that prune or fast-path on the footprint then simply do neither.
 
-Like ``check_expr`` (PR 6), results are memoized on the interned node in an
-underscore-prefixed slot (``_fp_memo``, dropped by the AST pickle hook),
-keyed by ``ClassTable.generation`` and the types of the node's free
-variables, so filling a hole recomputes only the root-to-hole spine.  Memo
+Like ``check_expr``, results are memoized per node (its ``"footprint"``
+memo table, dropped when a node is pickled), keyed by
+``ClassTable.generation`` and the types of the node's free variables, so
+filling a hole recomputes only the root-to-hole spine.  Memo
 hits are surfaced as ``SearchStats.footprint_hits``.
 """
 
@@ -45,11 +45,6 @@ from repro.typesys.typecheck import (
 TOP_PAIR = EffectPair(STAR, STAR)
 
 _PURE_PAIR = EffectPair.pure()
-
-#: Per-node footprint memos are cleared beyond this many entries (distinct
-#: class-table generations / free-variable typings), like ``_type_memo``.
-_FP_MEMO_LIMIT = 64
-
 
 def infer(
     expr: A.Node,
@@ -95,32 +90,21 @@ def _pair(
     key = _memo_key(expr, env, ct)
     if key is None:
         return _pair_structural(expr, env, ct, stats)
-    memo = expr.__dict__.get("_fp_memo")
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            if stats is not None:
-                stats.footprint_hits += 1
-            ok, payload = hit
-            if ok:
-                return payload
-            raise SynTypeError(payload)
+    hit = A.node_memo(expr, "footprint").get(key)
+    if hit is not None:
+        if stats is not None:
+            stats.footprint_hits += 1
+        ok, payload = hit
+        if ok:
+            return payload
+        raise SynTypeError(payload)
     try:
         result = _pair_structural(expr, env, ct, stats)
     except SynTypeError as error:
-        _memo_store(expr, memo, key, (False, str(error)))
+        A.memo_put(expr, "footprint", key, (False, str(error)))
         raise
-    _memo_store(expr, memo, key, (True, result))
+    A.memo_put(expr, "footprint", key, (True, result))
     return result
-
-
-def _memo_store(expr: A.Node, memo: Optional[dict], key: Tuple, entry: Tuple) -> None:
-    if memo is None:
-        memo = {}
-        object.__setattr__(expr, "_fp_memo", memo)
-    elif len(memo) >= _FP_MEMO_LIMIT:
-        memo.clear()
-    memo[key] = entry
 
 
 def _pair_structural(

@@ -135,7 +135,7 @@ def run_benchmark(
 
     With ``warm_state`` (the default) the benchmark's problem (app substrate,
     class table, specs) is built once per session and the session's
-    evaluation memo, AST interner, database snapshot manager and (if any)
+    evaluation memo, database snapshot manager and (if any)
     persistent store are shared across the runs.  Passing an external
     ``session`` extends that sharing across *calls* -- e.g. one session
     carrying a populated spec-outcome store.  ``warm_state=False`` rebuilds

@@ -1,15 +1,13 @@
-"""The compiled evaluation backend: hash-consed ASTs closed into closures.
+"""The compiled evaluation backend: AST nodes closed into Python closures.
 
-Candidate evaluation is the serial hot path of the synthesis loop, and after
-hash-consing (:mod:`repro.synth.cache`) the engine sees few *unique* subtree
-shapes.  This backend compiles each unique subtree once per lexical *scope*
-into a chain of Python closures (``node -> fn(frame, rt) -> value``) and
-caches the closures on the node instance itself (a ``_compiled`` memo dict
-keyed by scope, set with ``object.__setattr__`` like the
-``_hash``/``_node_count`` memos of :mod:`repro.lang.ast`), so compilation
-cost amortizes across every candidate sharing the shape.  Because interned
-nodes are shared, a subtree compiled while evaluating one candidate is
-already compiled when a later candidate contains it under the same binders.
+Candidate evaluation is the serial hot path of the synthesis loop.  This
+backend compiles each subtree once per lexical *scope* into a chain of
+Python closures (``node -> fn(frame, rt) -> value``) and caches the closures
+on the node itself (its ``"compiled"`` memo table, keyed by scope; see
+:func:`repro.lang.ast.node_memo`).  ``replace_at`` shares every subtree off
+the path to a filled hole, so a subtree compiled while evaluating one
+candidate is already compiled when a later candidate contains it under the
+same binders.
 
 Environments are flat positional frames resolved by :mod:`repro.lang.resolve`:
 the scope is the tuple of binder names from the frame base upward (parameters
@@ -34,9 +32,8 @@ so the cache can never serve a stale resolution.
 
 Effect logging, call-budget charging and hole rejection flow through the same
 context methods as the tree walker, keeping the two backends observably
-identical.  The ``_compiled`` slot is underscore-prefixed, so the AST pickle
-hook (``repro.lang.ast._memoless_state``) automatically drops it: closures
-never cross the process boundary in the parallel subsystem.
+identical.  A pickled node carries no memo, so closures never cross the
+process boundary in the parallel subsystem.
 """
 
 from __future__ import annotations
@@ -70,11 +67,6 @@ Scope = Tuple[str, ...]
 #: the bound only triggers for pathological table churn.
 _DISPATCH_CACHE_LIMIT = 32
 
-#: Per-node ``_compiled`` memo dicts are cleared beyond this many scopes; a
-#: search compiles each subtree under very few binder layouts (the problem's
-#: parameters plus a handful of fresh ``t0``-style let names).
-_COMPILE_MEMO_LIMIT = 64
-
 
 class CompiledBackend(EvalBackend):
     """Evaluate by compiling each unique (subtree, scope) once into closures."""
@@ -84,30 +76,19 @@ class CompiledBackend(EvalBackend):
     def run(
         self, rt: "Interpreter", expr: A.Node, scope: Scope, frame: List[Any]
     ) -> Any:
-        memo = expr.__dict__.get("_compiled")
-        if memo is not None:
-            fn = memo.get(scope)
-            if fn is not None:
-                return fn(frame, rt)
-        return compile_node(expr, scope)(frame, rt)
+        fn = A.node_memo(expr, "compiled").get(scope)
+        if fn is None:
+            fn = compile_node(expr, scope)
+        return fn(frame, rt)
 
 
 def compile_node(node: A.Node, scope: Scope = ()) -> CompiledFn:
     """The compiled closure for ``node`` under ``scope``, memoized on demand."""
 
-    memo = node.__dict__.get("_compiled") if hasattr(node, "__dict__") else None
-    if memo is not None:
-        fn = memo.get(scope)
-        if fn is not None:
-            return fn
-    fn = _compile(node, scope)
-    if hasattr(node, "__dict__"):
-        if memo is None:
-            memo = {}
-            object.__setattr__(node, "_compiled", memo)
-        elif len(memo) >= _COMPILE_MEMO_LIMIT:
-            memo.clear()
-        memo[scope] = fn
+    fn = A.node_memo(node, "compiled").get(scope)
+    if fn is None:
+        fn = _compile(node, scope)
+        A.memo_put(node, "compiled", scope, fn)
     return fn
 
 
@@ -118,14 +99,8 @@ def is_compiled(node: A.Node, scope: "Scope | None" = None) -> bool:
     tuple to ask about one layout specifically.
     """
 
-    if not hasattr(node, "__dict__"):
-        return False
-    memo = node.__dict__.get("_compiled")
-    if not memo:
-        return False
-    if scope is None:
-        return True
-    return scope in memo
+    memo = A.node_memo(node, "compiled")
+    return bool(memo) if scope is None else scope in memo
 
 
 # ---------------------------------------------------------------------------

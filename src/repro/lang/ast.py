@@ -13,8 +13,15 @@ class-constant references):
        | <> : eps          (effect hole)
    b ::= e | !b | b or b
 
-All nodes are frozen dataclasses, so structural equality and hashing come for
-free; the synthesizer relies on this to deduplicate candidates.
+Nodes are ``__slots__`` objects with structural equality.  Each constructor
+computes, once, the facts the search consults on every candidate: the
+structural hash, :func:`node_count`, :func:`has_holes` and
+:func:`free_vars`.  Those facts are only valid because no field is ever
+assigned after construction; derived programs are rebuilt with
+:func:`replace_at`.  Results that depend on a context or are computed
+lazily (the left-most hole, typing and footprint memos, alpha keys,
+compiled closures) live in one per-node memo slot reached through
+:func:`node_memo` and :func:`memo_put`.
 
 Two utilities matter for synthesis:
 
@@ -22,32 +29,109 @@ Two utilities matter for synthesis:
   plus the ``let`` bindings in scope at that position, so the enumerator can
   extend the type environment correctly (rule T-Let).
 * :func:`replace_at` rebuilds the expression with a replacement spliced in at
-  a path, leaving every other node shared.
+  a path, leaving every other node shared -- so the memos of every subtree
+  off the path to the hole carry over to the new candidate.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import (
+    Any,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.lang.effects import Effect
 from repro.lang.types import Type
+
+#: Bound on each consumer's per-node memo table: storing into a full table
+#: clears it first.  Real searches see a handful of contexts per subtree
+#: (class-table generations, free-variable typings, binder layouts), so the
+#: bound only triggers on pathological use.
+MEMO_LIMIT = 64
+
+_NO_MEMO: Mapping[Hashable, Any] = MappingProxyType({})
+
+
+def _union(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The sorted union of two sorted name tuples."""
+
+    if not b or a == b:
+        return a
+    if not a:
+        return b
+    return tuple(sorted({*a, *b}))
 
 
 class Node:
     """Base class for all AST nodes.
 
-    Leaf nodes have no children; compound nodes override :meth:`children`.
-    Structural metrics (:func:`node_count`, :func:`has_holes`) are memoized
-    on the node -- nodes are immutable, so the cached values stay valid even
-    though subtrees are shared across many candidates.
+    Subclasses list their fields in ``_fields`` (constructor order) and set
+    the structural facts through :meth:`_derive`.  Leaf nodes have no
+    children; compound nodes override :meth:`children`.  Equality and
+    hashing are structural over ``_fields``; pickling sends only the fields,
+    so the receiving side recomputes the facts and starts with no memos.
     """
+
+    __slots__ = ("_hash", "_count", "_holes", "_fv", "_memo")
+    _fields: Tuple[str, ...] = ()
+
+    def _derive(
+        self,
+        fields: Tuple,
+        kids: Tuple["Node", ...] = (),
+        holes: bool = False,
+        fv: Optional[Tuple[str, ...]] = None,
+    ) -> None:
+        """Compute the construction-time facts from the fields and children.
+
+        ``holes`` marks the node itself as a hole; ``fv`` overrides the union
+        of the children's free variables (binders and variable leaves).
+        """
+
+        self._hash = hash(fields)
+        count = 1
+        union: Tuple[str, ...] = ()
+        for kid in kids:
+            count += kid._count
+            holes = holes or kid._holes
+            union = _union(union, kid._fv)
+        self._count = count
+        self._holes = holes
+        self._fv = union if fv is None else fv
+        self._memo = None
 
     def children(self) -> Tuple[Tuple["Step", "Node"], ...]:
         """``(step, child)`` pairs in evaluation order (empty for leaves)."""
 
         return ()
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._hash != other._hash:  # type: ignore[attr-defined]
+            return False
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[type, Tuple]:
+        return (self.__class__, tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__name__}({args})"
 
     def __str__(self) -> str:
         from repro.lang.pretty import pretty
@@ -71,43 +155,65 @@ Path = Tuple[Step, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NilLit(Node):
     """The literal ``nil``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+    def __init__(self) -> None:
+        self._derive(())
+
+
 class BoolLit(Node):
-    value: bool
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
+        self._derive((value,))
 
 
-@dataclass(frozen=True)
 class IntLit(Node):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+        self._derive((value,))
 
 
-@dataclass(frozen=True)
 class StrLit(Node):
-    value: str
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str) -> None:
+        self.value = value
+        self._derive((value,))
 
 
-@dataclass(frozen=True)
 class SymLit(Node):
     """A symbol literal ``:name``."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._derive((name,))
 
 
-@dataclass(frozen=True)
 class ConstRef(Node):
     """A reference to a class constant such as ``Post``."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._derive((name,))
 
 
-@dataclass(frozen=True)
 class Var(Node):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self._derive((name,), fv=(name,))
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +221,24 @@ class Var(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TypedHole(Node):
     """A typed hole ``[]:tau`` to be filled by an expression of type ``tau``."""
 
-    type: Type
+    __slots__ = _fields = ("type",)
+
+    def __init__(self, type: Type) -> None:
+        self.type = type
+        self._derive((type,), holes=True)
 
 
-@dataclass(frozen=True)
 class EffectHole(Node):
     """An effect hole ``<>:eps`` to be filled by code with write effect ``eps``."""
 
-    effect: Effect
+    __slots__ = _fields = ("effect",)
+
+    def __init__(self, effect: Effect) -> None:
+        self.effect = effect
+        self._derive((effect,), holes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -134,36 +246,48 @@ class EffectHole(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Seq(Node):
     """Sequencing ``first; second``; evaluates to ``second``."""
 
-    first: Node
-    second: Node
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, first: Node, second: Node) -> None:
+        self.first = first
+        self.second = second
+        self._derive((first, second), (first, second))
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         return ((Step("first"), self.first), (Step("second"), self.second))
 
 
-@dataclass(frozen=True)
 class Let(Node):
     """``let var = value in body``."""
 
-    var: str
-    value: Node
-    body: Node
+    __slots__ = _fields = ("var", "value", "body")
+
+    def __init__(self, var: str, value: Node, body: Node) -> None:
+        self.var = var
+        self.value = value
+        self.body = body
+        body_fv = body._fv
+        if var in body_fv:
+            body_fv = tuple(name for name in body_fv if name != var)
+        self._derive((var, value, body), (value, body), fv=_union(value._fv, body_fv))
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         return ((Step("value"), self.value), (Step("body"), self.body))
 
 
-@dataclass(frozen=True)
 class MethodCall(Node):
     """A method call ``receiver.name(args...)``."""
 
-    receiver: Node
-    name: str
-    args: Tuple[Node, ...] = ()
+    __slots__ = _fields = ("receiver", "name", "args")
+
+    def __init__(self, receiver: Node, name: str, args: Tuple[Node, ...] = ()) -> None:
+        self.receiver = receiver
+        self.name = name
+        self.args = args
+        self._derive((receiver, name, args), (receiver,) + args)
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         pairs = [(Step("receiver"), self.receiver)]
@@ -171,11 +295,14 @@ class MethodCall(Node):
         return tuple(pairs)
 
 
-@dataclass(frozen=True)
 class HashLit(Node):
     """A hash literal ``{key: value, ...}`` with symbol keys."""
 
-    entries: Tuple[Tuple[str, Node], ...] = ()
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: Tuple[Tuple[str, Node], ...] = ()) -> None:
+        self.entries = entries
+        self._derive((entries,), tuple(value for _, value in entries))
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         return tuple(
@@ -183,13 +310,17 @@ class HashLit(Node):
         )
 
 
-@dataclass(frozen=True)
 class If(Node):
     """``if cond then then_branch else else_branch``."""
 
-    cond: Node
-    then_branch: Node
-    else_branch: Node
+    __slots__ = _fields = ("cond", "then_branch", "else_branch")
+
+    def __init__(self, cond: Node, then_branch: Node, else_branch: Node) -> None:
+        self.cond = cond
+        self.then_branch = then_branch
+        self.else_branch = else_branch
+        kids = (cond, then_branch, else_branch)
+        self._derive(kids, kids)
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         return (
@@ -199,34 +330,47 @@ class If(Node):
         )
 
 
-@dataclass(frozen=True)
 class Not(Node):
     """Guard negation ``!b``."""
 
-    expr: Node
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: Node) -> None:
+        self.expr = expr
+        self._derive((expr,), (expr,))
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         return ((Step("expr"), self.expr),)
 
 
-@dataclass(frozen=True)
 class Or(Node):
     """Guard disjunction ``b1 or b2``."""
 
-    left: Node
-    right: Node
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Node, right: Node) -> None:
+        self.left = left
+        self.right = right
+        self._derive((left, right), (left, right))
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         return ((Step("left"), self.left), (Step("right"), self.right))
 
 
-@dataclass(frozen=True)
 class MethodDef(Node):
-    """A synthesized program ``def name(params...) = body``."""
+    """A synthesized program ``def name(params...) = body``.
 
-    name: str
-    params: Tuple[str, ...]
-    body: Node
+    Its free variables are the body's: the parameters are frame bindings
+    supplied by the caller, so they stay free in the body's tuple.
+    """
+
+    __slots__ = _fields = ("name", "params", "body")
+
+    def __init__(self, name: str, params: Tuple[str, ...], body: Node) -> None:
+        self.name = name
+        self.params = params
+        self.body = body
+        self._derive((name, params, body), (body,))
 
     def children(self) -> Tuple[Tuple[Step, Node], ...]:
         return ((Step("body"), self.body),)
@@ -275,18 +419,9 @@ def size(node: Node) -> int:
 
 
 def node_count(node: Node) -> int:
-    """Number of AST nodes, the "Meth Size" metric reported in Table 1.
+    """Number of AST nodes, the "Meth Size" metric reported in Table 1."""
 
-    Memoized on the (immutable) node because the work list consults it for
-    every push.
-    """
-
-    cached = node.__dict__.get("_node_count") if hasattr(node, "__dict__") else None
-    if cached is not None:
-        return cached
-    count = 1 + sum(node_count(child) for _, child in node.children())
-    object.__setattr__(node, "_node_count", count)
-    return count
+    return node._count
 
 
 def count_holes(node: Node) -> int:
@@ -294,16 +429,9 @@ def count_holes(node: Node) -> int:
 
 
 def has_holes(node: Node) -> bool:
-    """Negation of the paper's ``evaluable`` predicate (Figure 12); memoized."""
+    """Negation of the paper's ``evaluable`` predicate (Figure 12)."""
 
-    cached = node.__dict__.get("_has_holes") if hasattr(node, "__dict__") else None
-    if cached is not None:
-        return cached
-    result = isinstance(node, (TypedHole, EffectHole)) or any(
-        has_holes(child) for _, child in node.children()
-    )
-    object.__setattr__(node, "_has_holes", result)
-    return result
+    return node._holes
 
 
 def count_paths(node: Node) -> int:
@@ -320,43 +448,54 @@ def count_paths(node: Node) -> int:
     return 1
 
 
-def free_variables(node: Node, bound: frozenset[str] = frozenset()) -> frozenset[str]:
-    """The free variables of an expression (used by merge-time sanity checks)."""
+def free_vars(node: Node) -> Tuple[str, ...]:
+    """The free variables of an expression, sorted and deduplicated.
 
-    if isinstance(node, Var):
-        return frozenset() if node.name in bound else frozenset({node.name})
-    if isinstance(node, Let):
-        return free_variables(node.value, bound) | free_variables(
-            node.body, bound | {node.var}
-        )
-    result: frozenset[str] = frozenset()
-    for _, child in node.children():
-        result |= free_variables(child, bound)
-    return result
-
-
-def free_vars(node: Node) -> frozenset[str]:
-    """``free_variables(node)`` memoized per (immutable) node.
-
-    The incremental typechecker keys its per-node memo by the types of the
-    node's free variables, so this is consulted on every cached check; like
-    ``node_count`` the memo is shared by every candidate containing the
-    (interned) subtree.
+    A ``let`` binder is free in its value position but bound in its body.
+    Every memo keyed by "the bindings of the node's free variables" iterates
+    this tuple, so keys agree across the typechecker, the footprint analysis
+    and the caches.
     """
 
-    cached = node.__dict__.get("_free_vars") if hasattr(node, "__dict__") else None
-    if cached is not None:
-        return cached
-    if isinstance(node, Var):
-        result = frozenset({node.name})
-    elif isinstance(node, Let):
-        result = free_vars(node.value) | (free_vars(node.body) - {node.var})
-    else:
-        result = frozenset()
-        for _, child in node.children():
-            result |= free_vars(child)
-    object.__setattr__(node, "_free_vars", result)
-    return result
+    return node._fv
+
+
+# ---------------------------------------------------------------------------
+# Per-node memos
+# ---------------------------------------------------------------------------
+
+
+def node_memo(node: Node, kind: str) -> Mapping[Hashable, Any]:
+    """The ``kind`` consumer's memo table on ``node`` (empty when unset).
+
+    The table is for reading; entries are added with :func:`memo_put`.
+    Consumers name themselves with ``kind`` (``"type"``, ``"footprint"``,
+    ``"alpha"``, ``"compiled"``, ``"first_hole"``) and each keeps its own
+    table under the shared :data:`MEMO_LIMIT` bound.
+    """
+
+    tables = node._memo
+    if tables is None:
+        return _NO_MEMO
+    return tables.get(kind, _NO_MEMO)
+
+
+def memo_put(node: Node, kind: str, key: Hashable, value: Any) -> None:
+    """Record ``value`` under ``key`` in ``node``'s ``kind`` memo table.
+
+    A table already holding :data:`MEMO_LIMIT` entries is cleared first.
+    """
+
+    tables = node._memo
+    if tables is None:
+        tables = node._memo = {}
+    table = tables.get(kind)
+    if table is None:
+        tables[kind] = {key: value}
+        return
+    if len(table) >= MEMO_LIMIT:
+        table.clear()
+    table[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -401,28 +540,19 @@ def _iter_holes(
         yield from _iter_holes(child, path + (step,), bindings)
 
 
-_FIRST_HOLE_MISSING = object()
-
-
 def first_hole(node: Node) -> Optional[HoleSite]:
     """The left-most hole of ``node``, or ``None`` if the node is evaluable.
 
-    Memoized per (immutable) node like :func:`node_count`: the search
-    consults it on every expansion, and interned candidates share the memo.
+    Memoized per node (its ``"first_hole"`` table holds one entry, under
+    the key ``None``): the search consults it on every expansion.
     """
 
-    cached = (
-        node.__dict__.get("_first_hole", _FIRST_HOLE_MISSING)
-        if hasattr(node, "__dict__")
-        else _FIRST_HOLE_MISSING
-    )
-    if cached is not _FIRST_HOLE_MISSING:
-        return cached
-    site: Optional[HoleSite] = None
-    for found in iter_holes(node):
-        site = found
-        break
-    object.__setattr__(node, "_first_hole", site)
+    if not node._holes:
+        return None
+    site = node_memo(node, "first_hole").get(None)
+    if site is None:
+        site = next(iter_holes(node))
+        memo_put(node, "first_hole", None, site)
     return site
 
 
@@ -445,7 +575,9 @@ def replace_at(node: Node, path: Path, replacement: Node) -> Node:
             key, sub = item
             items[step.index] = (key, replace_at(sub, rest, replacement))
         new_value = tuple(items)
-    return dataclasses.replace(node, **{step.attr: new_value})
+    return node.__class__(
+        *[new_value if f == step.attr else getattr(node, f) for f in node._fields]
+    )
 
 
 def fill_first_hole(node: Node, replacement: Node) -> Node:
@@ -460,49 +592,6 @@ def fill_first_hole(node: Node, replacement: Node) -> Node:
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
-
-def _install_hash_caching() -> None:
-    """Replace each node class's generated ``__hash__`` with a caching one.
-
-    Candidate expressions are hashed constantly (work-list dedup sets, the
-    enumerator's seen sets); recomputing the structural hash of a deep tree
-    every time dominates the profile, so the hash is computed once per node
-    and stashed on the instance.
-    """
-
-    node_classes = (
-        NilLit, BoolLit, IntLit, StrLit, SymLit, ConstRef, Var,
-        TypedHole, EffectHole, Seq, Let, MethodCall, HashLit, If, Not, Or,
-        MethodDef, Step,
-    )
-    for cls in node_classes:
-        original = cls.__hash__
-
-        def cached_hash(self, _original=original):
-            value = self.__dict__.get("_hash")
-            if value is None:
-                value = _original(self)
-                object.__setattr__(self, "_hash", value)
-            return value
-
-        cls.__hash__ = cached_hash  # type: ignore[assignment]
-        cls.__getstate__ = _memoless_state  # type: ignore[assignment]
-
-
-def _memoless_state(self) -> dict:
-    """Pickle state without the per-instance memos (``_hash`` etc.).
-
-    Nodes cross process boundaries in the parallel subsystem
-    (:mod:`repro.synth.parallel`); the cached structural hash is only valid
-    under the originating interpreter's string-hash seed, and the other
-    memos (``_node_count``, ``_first_hole``, ``_has_holes``) are cheap to
-    recompute, so only the real dataclass fields travel.
-    """
-
-    return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
-
-_install_hash_caching()
 
 NIL = NilLit()
 TRUE = BoolLit(True)

@@ -1,10 +1,10 @@
 """Name resolution for lambda-syn: resolved bindings, computed once per node.
 
-Hash-consing (:mod:`repro.synth.cache`) means the engine sees few *unique*
-subtree shapes, so anything derivable from binding structure alone is worth
-computing once per interned node and memoizing on the instance (the
-``_hash``/``_node_count`` idiom of :mod:`repro.lang.ast`).  This module is
-that resolution pass.  Its products:
+Anything derivable from binding structure alone is computed once per node:
+free variables at construction (:mod:`repro.lang.ast`), alpha keys lazily
+in the node's memo slot.  ``replace_at`` shares every subtree off the path
+to a filled hole, so those results carry over from candidate to candidate.
+This module is the resolution pass.  Its products:
 
 * :func:`free_var_tuple` -- the node's free variables as a sorted tuple,
   the canonical ordering every env-keyed memo in the engine keys by
@@ -26,15 +26,12 @@ that resolution pass.  Its products:
   :class:`~repro.synth.cache.SynthCache` uses it for in-memory spec-outcome
   keys.
 
-All memos live in underscore-prefixed instance slots (``_fv_tuple``,
-``_alpha_memo``), so the AST pickle hook (``repro.lang.ast._memoless_state``)
-drops them automatically: resolver products never cross the process boundary
-in the parallel subsystem and are recomputed (deterministically) on the far
-side.
-
-``alpha_key`` is memoized *per context*: the key of a subtree depends on its
-position only through the De Bruijn distances of its free variables, so the
-memo is a small per-node dict keyed by that distance tuple.
+``alpha_key`` is memoized *per context* in the node's ``"alpha"`` memo
+table: the key of a subtree depends on its position only through the De
+Bruijn distances of its free variables, so the table is keyed by that
+distance tuple.  A pickled node carries no memo, so alpha keys never cross
+the process boundary in the parallel subsystem and are recomputed
+(deterministically) on the far side.
 
 The tree walker never consults :func:`slot_of` -- it scans the frame
 innermost-first on its own -- so the tree-vs-compiled differential tests are
@@ -47,11 +44,6 @@ from typing import Any, Hashable, Optional, Tuple
 
 from repro.lang import ast as A
 
-#: Per-node ``_alpha_memo`` dicts are cleared beyond this many contexts; real
-#: searches see a handful of binder layouts per subtree (same params, few
-#: fresh ``t0``-style names), so the bound only triggers on pathological use.
-_ALPHA_MEMO_LIMIT = 64
-
 
 # ---------------------------------------------------------------------------
 # Free-variable tuples
@@ -59,21 +51,15 @@ _ALPHA_MEMO_LIMIT = 64
 
 
 def free_var_tuple(node: A.Node) -> Tuple[str, ...]:
-    """The free variables of ``node``, sorted, as a tuple; memoized per node.
+    """The free variables of ``node``, sorted, as a tuple.
 
-    This is the resolver-canonical ordering of :func:`repro.lang.ast.free_vars`
-    (which stays the set-valued primitive): every memo that keys on "the
-    bindings of the node's free variables" iterates this tuple so keys agree
-    across the typechecker, the footprint analysis and the caches without
-    re-sorting per lookup.
+    The same construction-time fact as :func:`repro.lang.ast.free_vars`:
+    every memo that keys on "the bindings of the node's free variables"
+    iterates this tuple, so keys agree across the typechecker, the
+    footprint analysis and the caches.
     """
 
-    cached = node.__dict__.get("_fv_tuple") if hasattr(node, "__dict__") else None
-    if cached is not None:
-        return cached
-    result = tuple(sorted(A.free_vars(node)))
-    object.__setattr__(node, "_fv_tuple", result)
-    return result
+    return node._fv
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +105,16 @@ def alpha_key(node: A.Node, scope: Tuple[str, ...] = ()) -> Hashable:
 
 
 def _alpha(node: A.Node, bound: Tuple[str, ...]) -> Hashable:
-    if not hasattr(node, "__dict__"):
-        return _alpha_structural(node, bound)
     # The key depends on ``bound`` only through the De Bruijn distances of
     # the node's free variables (every deeper lookup crosses a statically
     # known number of binders), so that distance tuple is a sound memo
     # context: same distances, same key.
-    fvt = free_var_tuple(node)
+    fvt = node._fv
     context = tuple(_debruijn(bound, name) for name in fvt) if fvt else ()
-    memo = node.__dict__.get("_alpha_memo")
-    if memo is not None:
-        hit = memo.get(context)
-        if hit is not None:
-            return hit
-    key = _alpha_structural(node, bound)
-    if memo is None:
-        memo = {}
-        object.__setattr__(node, "_alpha_memo", memo)
-    elif len(memo) >= _ALPHA_MEMO_LIMIT:
-        memo.clear()
-    memo[context] = key
+    key = A.node_memo(node, "alpha").get(context)
+    if key is None:
+        key = _alpha_structural(node, bound)
+        A.memo_put(node, "alpha", context, key)
     return key
 
 
@@ -194,8 +170,8 @@ def _alpha_structural(node: A.Node, bound: Tuple[str, ...]) -> Hashable:
         return ("not", _alpha(node.expr, bound))
     if isinstance(node, A.Or):
         return ("or", _alpha(node.left, bound), _alpha(node.right, bound))
-    # Leaves (literals, constants, holes) are frozen dataclasses with
-    # structural equality; the node itself is its own canonical key.
+    # Leaves (literals, constants, holes) are immutable with structural
+    # equality; the node itself is its own canonical key.
     return node
 
 

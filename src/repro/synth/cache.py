@@ -1,26 +1,18 @@
-"""The synthesis performance subsystem: hash-consing and spec-outcome memoization.
+"""The synthesis performance subsystem: spec-outcome memoization.
 
 Section 4 of the paper observes that once solution reuse kicks in, "the
 bottleneck becomes the number of unique paths, not the number of tests".
-This module realises that observation as two caches shared by one synthesis
-run:
+This module realises that observation as a memo shared by one synthesis
+run.  (Per-node facts and memos live on the AST nodes themselves; see
+:mod:`repro.lang.ast`.)
 
-* a :class:`NodeInterner` that hash-conses AST nodes.  All structural
-  metadata (``node_count``, ``has_holes``, ``first_hole`` and the structural
-  hash) is memoized *per instance* in :mod:`repro.lang.ast`; interning makes
-  structurally-equal candidates share one instance, so each metric is
-  computed once per unique shape instead of once per duplicate the
-  enumerator produces.  Each work list interns every pushed candidate into
-  a search-local table (freed when the search returns, like the seed's
-  ``_seen`` sets); only the hit/miss counters are shared run-wide.
-
-* a :class:`SynthCache` memo for spec and guard evaluation, keyed on
-  ``(program, spec, effect_precision)``.  Identical ``(program, spec)``
-  pairs are executed repeatedly across solution reuse
-  (``synthesizer._reuse_solution``), guard search (``generate_guard``'s
-  ``initial_candidates`` loop) and the merge phase's ordering/validation
-  loops; the memo returns the recorded :class:`~repro.synth.goal.SpecOutcome`
-  instead of re-running ``reset() + Interpreter() + setup()``.
+A :class:`SynthCache` memoizes spec and guard evaluation, keyed on
+``(program, spec, effect_precision)``.  Identical ``(program, spec)`` pairs
+are executed repeatedly across solution reuse
+(``synthesizer._reuse_solution``), guard search (``generate_guard``'s
+``initial_candidates`` loop) and the merge phase's ordering/validation
+loops; the memo returns the recorded :class:`~repro.synth.goal.SpecOutcome`
+instead of re-running ``reset() + Interpreter() + setup()``.
 
 Soundness rests on spec evaluation being deterministic: ``evaluate_spec``
 always calls ``problem.reset()`` first, so an outcome depends only on the
@@ -49,7 +41,7 @@ like memo hits do but are counted separately (``CacheStats.store_hits``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.lang import ast as A
@@ -87,8 +79,6 @@ class CacheStats:
     guard_redundant: int = 0
     evictions: int = 0
     invalidations: int = 0
-    intern_hits: int = 0
-    intern_misses: int = 0
     #: Persistent-store lookups (spec and guard combined; see
     #: :mod:`repro.synth.store`).  A store hit skips the execution entirely
     #: and is *not* double-counted as an in-memory hit or miss.
@@ -108,20 +98,9 @@ class CacheStats:
         return self.spec_redundant + self.guard_redundant
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "spec_hits": self.spec_hits,
-            "spec_misses": self.spec_misses,
-            "spec_redundant": self.spec_redundant,
-            "guard_hits": self.guard_hits,
-            "guard_misses": self.guard_misses,
-            "guard_redundant": self.guard_redundant,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "intern_hits": self.intern_hits,
-            "intern_misses": self.intern_misses,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-        }
+        """Every counter by field name, in declaration order."""
+
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def copy(self) -> "CacheStats":
         return CacheStats(**self.as_dict())
@@ -139,51 +118,12 @@ class CacheStats:
         )
 
     def merge(self, other: "CacheStats") -> None:
-        self.spec_hits += other.spec_hits
-        self.spec_misses += other.spec_misses
-        self.spec_redundant += other.spec_redundant
-        self.guard_hits += other.guard_hits
-        self.guard_misses += other.guard_misses
-        self.guard_redundant += other.guard_redundant
-        self.evictions += other.evictions
-        self.invalidations += other.invalidations
-        self.intern_hits += other.intern_hits
-        self.intern_misses += other.intern_misses
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
-
-
-class NodeInterner:
-    """Hash-consing table for AST nodes.
-
-    ``intern`` maps every node to a canonical representative; structurally
-    equal nodes share one instance, and therefore share the per-instance
-    ``node_count`` / ``has_holes`` / ``first_hole`` / hash memos of
-    :mod:`repro.lang.ast`.
-    """
-
-    def __init__(self, stats: Optional[CacheStats] = None) -> None:
-        self._table: Dict[A.Node, A.Node] = {}
-        self.stats = stats if stats is not None else CacheStats()
-
-    def intern(self, node: A.Node) -> A.Node:
-        canonical = self._table.get(node)
-        if canonical is not None:
-            self.stats.intern_hits += 1
-            return canonical
-        self.stats.intern_misses += 1
-        self._table[node] = node
-        return node
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        self._table.clear()
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class SynthCache:
-    """Spec/guard evaluation memo plus the node interner of one run.
+    """Spec/guard evaluation memo of one run.
 
     One instance is owned by each
     :class:`~repro.synth.session.SynthesisSession` and threaded through the
@@ -213,7 +153,6 @@ class SynthCache:
         #: written through whenever an executed outcome is recorded.
         self.store = store
         self.stats = CacheStats()
-        self.interner = NodeInterner(self.stats)
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
         #: Representative program node per key.  Keys identify programs by
         #: alpha-key, which cannot be turned back into a program; the store
@@ -229,11 +168,6 @@ class SynthCache:
             max_entries=getattr(config, "spec_cache_max_entries", DEFAULT_MAX_ENTRIES),
             track_redundancy=getattr(config, "cache_track_redundancy", True),
         )
-
-    # ------------------------------------------------------------------ interning
-
-    def intern(self, node: A.Node) -> A.Node:
-        return self.interner.intern(node)
 
     # ------------------------------------------------------------------ keys
 
@@ -417,7 +351,7 @@ class SynthCache:
     # ------------------------------------------------------------------ lifecycle
 
     def clear_memory(self) -> None:
-        """Drop the in-memory memo and interner but keep the store intact.
+        """Drop the in-memory memo but keep the store intact.
 
         Used by ``SynthesisSession.clear_memory_caches`` to simulate a fresh
         process: the next lookups miss in memory and fall through to the
@@ -427,7 +361,6 @@ class SynthCache:
 
         self._entries.clear()
         self._programs.clear()
-        self.interner.clear()
 
     def invalidate(self) -> None:
         """Drop every memoized outcome (the baseline state changed).
@@ -439,7 +372,6 @@ class SynthCache:
 
         self._entries.clear()
         self._programs.clear()
-        self.interner.clear()
         if self.store is not None:
             self.store.invalidate()
         self.stats.invalidations += 1

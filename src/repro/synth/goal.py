@@ -639,6 +639,13 @@ class Budget:
     def expired(self) -> bool:
         return self.timeout_s is not None and self.elapsed() >= self.timeout_s
 
+    def remaining(self) -> Optional[float]:
+        """Seconds left (never negative); ``None`` when unlimited."""
+
+        if self.timeout_s is None:
+            return None
+        return max(self.timeout_s - self.elapsed(), 0.0)
+
 
 class SynthesisTimeout(Exception):
     """Raised internally when the budget expires mid-search."""

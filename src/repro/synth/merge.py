@@ -173,7 +173,7 @@ class Merger:
         """
 
         from repro.synth.goal import SynthesisTimeout
-        from repro.synth.parallel import absorb_memo
+        from repro.synth.parallel import absorb_memo, await_task
 
         index_of = {spec: i for i, spec in enumerate(self.problem.specs)}
         tasks = []
@@ -192,7 +192,7 @@ class Merger:
 
         assigned: List[SpecSolution] = []
         for position, (solution, future) in enumerate(zip(solutions, tasks)):
-            task = future.get()
+            task = await_task(future, self.budget, "synthesizing a guard")
             self.stats.merge(task.stats)
             self.cache.stats.merge(task.cache_stats)
             if self.metrics is not None:

@@ -260,6 +260,19 @@ def _worker_call(task: Tuple) -> Any:
             store.flush()
 
 
+def await_task(future, budget: Budget, what: str) -> Any:
+    """A pool task's result, waited for no longer than ``budget`` has left.
+
+    A worker that dies mid-task never completes its future; bounding the
+    wait turns that into the run's ordinary :class:`SynthesisTimeout`.
+    """
+
+    try:
+        return future.get(budget.remaining())
+    except multiprocessing.TimeoutError:
+        raise SynthesisTimeout(f"timeout while {what}") from None
+
+
 def _task_problem(benchmark_id: str, config: SynthConfig):
     """The worker's warm problem for a benchmark, at the config's precision."""
 
@@ -726,7 +739,9 @@ def run_synthesis_parallel(
                     stats.hint_reuses += 1
                     solutions.append(SpecSolution(expr=hint, specs=(spec,)))
                     continue
-                task = pending[index].get()
+                task = await_task(
+                    pending[index], budget, f"solving spec #{index}"
+                )
                 merge_task(task)
                 if task.timed_out:
                     raise SynthesisTimeout(f"timeout while solving spec #{index}")

@@ -436,7 +436,7 @@ class SynthesisSession:
         """Drop in-process memo state but keep the persistent store.
 
         Simulates a fresh process for store tests and two-pass sweeps: the
-        evaluation memo and interner are cleared (and the store flushed), so
+        evaluation memo is cleared (and the store flushed), so
         subsequent lookups miss in memory and are answered from disk.
         Snapshot recordings, which a real new process would also rebuild
         cheaply, are left in place on the problems.

@@ -35,7 +35,7 @@ def simplify(expr: A.Node) -> A.Node:
     if isinstance(expr, A.Let):
         value = simplify(expr.value)
         body = simplify(expr.body)
-        if expr.var not in A.free_variables(body):
+        if expr.var not in A.free_vars(body):
             if _is_pure_value(value):
                 return body
             return A.Seq(value, body)

@@ -12,8 +12,8 @@ Expressions may contain holes: a typed hole has its annotated type (T-Hole)
 and an effect hole has type ``Object`` (T-EffObj), the top of the lattice, so
 it can later be replaced by a term of any type.
 
-Since PR 6 ``check_expr`` is *incremental*: the synthesized type of every
-compound subtree is memoized on the (immutable, interned) node, keyed by the
+``check_expr`` is *incremental*: the synthesized type of every compound
+subtree is memoized in the node's ``"type"`` memo table, keyed by the
 class table's mutation-aware ``generation`` token and the types its free
 variables have in the current environment.  Filling a hole rebuilds only the
 root-to-hole spine (``replace_at`` shares every off-path subtree), so
@@ -21,8 +21,7 @@ re-checking the narrowed candidate recomputes just that spine while every
 shared subtree answers from its memo -- the whole-tree walk the enumerator
 used to pay per expansion collapses to the hole path.  Ill-typed subtrees
 memoize their rejection too, so repeated narrowing failures are equally
-cheap.  The memo slot (``_type_memo``) is underscore-prefixed and therefore
-dropped by the AST pickle hook, like the other per-node memos.
+cheap.  Like every per-node memo it is dropped when a node is pickled.
 """
 
 from __future__ import annotations
@@ -80,11 +79,6 @@ _MEMOIZED_NODES = (
     A.MethodDef,
 )
 
-#: Per-node memos are cleared beyond this many entries (distinct class-table
-#: generations / free-variable typings); real searches stay far below it.
-_TYPE_MEMO_LIMIT = 64
-
-
 def check_expr(
     expr: A.Node,
     env: Mapping[str, T.Type],
@@ -103,20 +97,18 @@ def check_expr(
     key = _memo_key(expr, env, ct)
     if key is None:
         return _check_structural(expr, env, ct)
-    memo = expr.__dict__.get("_type_memo")
-    if memo is not None:
-        hit = memo.get(key)
-        if hit is not None:
-            ok, payload = hit
-            if ok:
-                return payload
-            raise SynTypeError(payload)
+    hit = A.node_memo(expr, "type").get(key)
+    if hit is not None:
+        ok, payload = hit
+        if ok:
+            return payload
+        raise SynTypeError(payload)
     try:
         result = _check_structural(expr, env, ct)
     except SynTypeError as error:
-        _memo_store(expr, memo, key, (False, str(error)))
+        A.memo_put(expr, "type", key, (False, str(error)))
         raise
-    _memo_store(expr, memo, key, (True, result))
+    A.memo_put(expr, "type", key, (True, result))
     return result
 
 
@@ -133,22 +125,11 @@ def _memo_key(
     raise the usual unbound-variable error on the structural path.
     """
 
-    if not hasattr(expr, "__dict__"):
-        return None
     try:
         typing = tuple(env[name] for name in free_var_tuple(expr))
     except KeyError:
         return None
     return (ct.generation, typing)
-
-
-def _memo_store(expr: A.Node, memo: Optional[dict], key: Tuple, entry: Tuple) -> None:
-    if memo is None:
-        memo = {}
-        object.__setattr__(expr, "_type_memo", memo)
-    elif len(memo) >= _TYPE_MEMO_LIMIT:
-        memo.clear()
-    memo[key] = entry
 
 
 def _check_structural(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,8 +92,13 @@ def test_count_holes_and_has_holes():
 
 def test_free_variables():
     expr = _sample_expr()
-    assert A.free_variables(expr) == frozenset({"arg1", "arg2"})
-    assert A.free_variables(A.Let("x", A.Var("y"), A.Var("x"))) == frozenset({"y"})
+    assert A.free_vars(expr) == ("arg1", "arg2")
+    assert A.free_vars(A.Let("x", A.Var("y"), A.Var("x"))) == ("y",)
+
+
+def test_nodes_are_slotted():
+    assert not hasattr(A.Var("x"), "__dict__")
+    assert not hasattr(_sample_expr(), "__dict__")
 
 
 def test_bound_names():
@@ -210,10 +217,26 @@ def _exprs(depth=3):
     )
 
 
+def _free_set(node, bound=frozenset()):
+    """Free variables recomputed recursively, independent of the slots."""
+
+    if isinstance(node, A.Var):
+        return set() if node.name in bound else {node.name}
+    if isinstance(node, A.Let):
+        return _free_set(node.value, bound) | _free_set(node.body, bound | {node.var})
+    return set().union(*(_free_set(child, bound) for _, child in node.children()))
+
+
 @given(_exprs())
 @settings(max_examples=80, deadline=None)
 def test_node_count_positive_and_walk_consistent(expr):
+    # Every fact computed at construction matches a recursive recomputation.
     assert A.node_count(expr) == len(list(A.walk(expr))) >= 1
+    assert A.has_holes(expr) == (A.count_holes(expr) > 0)
+    assert A.free_vars(expr) == tuple(sorted(_free_set(expr)))
+    rebuilt = pickle.loads(pickle.dumps(expr))
+    assert rebuilt is not expr
+    assert hash(rebuilt) == hash(expr)
 
 
 @given(_exprs())

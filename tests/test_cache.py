@@ -1,7 +1,7 @@
 """Tests for the synthesis performance subsystem (repro.synth.cache):
-hash-consing, spec-outcome memoization, invalidation, the cache-on/off
-equivalence guarantee, and regression tests for the budget- and size-bound
-bugfixes in the search loop."""
+per-node memos, work-list dedup, spec-outcome memoization, invalidation,
+the cache-on/off equivalence guarantee, and regression tests for the
+budget- and size-bound bugfixes in the search loop."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.lang import types as T
 from repro.apps.blog import build_blog_app, seed_blog
 from repro.benchmarks import get_benchmark, run_benchmark
 from repro.synth import SynthConfig, SynthesisSession, define, evaluate_spec
-from repro.synth.cache import MISSING, NodeInterner, SynthCache
+from repro.synth.cache import MISSING, SynthCache
 from repro.synth.goal import (
     Budget,
     SynthesisTimeout,
@@ -90,25 +90,14 @@ FIRST_USER = A.call(A.ConstRef("User"), "first")
 
 
 # ---------------------------------------------------------------------------
-# Hash-consing and AST metadata memoization
+# Per-node memos and work-list dedup
 # ---------------------------------------------------------------------------
-
-
-def test_interner_canonicalizes_equal_nodes():
-    interner = NodeInterner()
-    a = A.call(A.ConstRef("User"), "first")
-    b = A.call(A.ConstRef("User"), "first")
-    assert a is not b and a == b
-    assert interner.intern(a) is a
-    assert interner.intern(b) is a  # structurally equal -> canonical instance
-    assert interner.stats.intern_misses == 1
-    assert interner.stats.intern_hits == 1
-    assert len(interner) == 1
 
 
 def test_first_hole_is_memoized_per_node():
     expr = A.Seq(A.TypedHole(T.BOOL), A.NIL)
     first = A.first_hole(expr)
+    assert A.node_memo(expr, "first_hole") == {None: first}
     assert first is A.first_hole(expr)  # second call hits the memo
     assert first.hole == A.TypedHole(T.BOOL)
     hole_free = A.Seq(A.IntLit(1), A.IntLit(2))
@@ -117,12 +106,11 @@ def test_first_hole_is_memoized_per_node():
 
 
 def test_worklist_interns_pushed_candidates():
-    cache = SynthCache()
-    worklist = _WorkList("paper", interner=cache.interner)
+    worklist = _WorkList("paper")
     a = A.Seq(A.TypedHole(T.BOOL), A.NIL)
     b = A.Seq(A.TypedHole(T.BOOL), A.NIL)
     assert worklist.push(a, 0)
-    assert not worklist.push(b, 0)  # deduplicated via the interner
+    assert not worklist.push(b, 0)  # structurally equal -> deduplicated
     _, popped = worklist.pop()
     assert popped is a
 

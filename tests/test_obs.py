@@ -6,6 +6,7 @@ export)."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -261,8 +262,14 @@ def test_load_trace_rejects_headerless_and_wrong_schema(tmp_path):
 def _traced_run(tmp_path, benchmark_id="S4"):
     path = str(tmp_path / "run.jsonl")
     config = SynthConfig(timeout_s=60, trace_path=path)
-    with SynthesisSession(config) as session:
-        result = session.run(benchmark_id)
+    # A collector pause inside the short run lands outside every phase span
+    # and can pull coverage under its 0.95 bound; keep GC out of the run.
+    gc.disable()
+    try:
+        with SynthesisSession(config) as session:
+            result = session.run(benchmark_id)
+    finally:
+        gc.enable()
     assert trace.TRACER is trace.NULL  # the session owned + closed it
     assert result.success
     return path, result

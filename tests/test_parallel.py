@@ -6,6 +6,11 @@ solution hints, and the counter-merge field-completeness guards."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -121,6 +126,51 @@ def test_run_benchmark_cold_parallel_distributes_runs():
     assert parallel.success
     assert parallel.program_text == serial.program_text
     assert len(parallel.times_s) == len(serial.times_s) == 3
+
+
+_DEAD_WORKER_SCRIPT = textwrap.dedent(
+    """
+    import os
+
+    import repro.synth.parallel as parallel
+    from repro.synth import SynthConfig, SynthesisSession
+
+    def die(task):
+        os._exit(1)
+
+    # Patched before the pool forks, so every worker dies on its first task.
+    parallel._worker_call = die
+    with SynthesisSession(SynthConfig(timeout_s=3)) as session:
+        result = session.run("S4", parallel=2)
+    print("timed_out", result.timed_out)
+    """
+)
+
+
+def test_dead_worker_times_out_instead_of_hanging():
+    """A worker that exits mid-task never completes its pool future; the
+    parent's wait is bounded by the run's budget, so the run reports a
+    timeout instead of hanging.  Runs in a subprocess (its own session
+    group) so a hang fails the test and cannot leak workers."""
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _DEAD_WORKER_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=15)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("parallel run hung on a dead worker past its 3 s budget")
+    assert proc.returncode == 0, err
+    assert "timed_out True" in out
 
 
 # ---------------------------------------------------------------------------
@@ -249,39 +299,40 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
 
     Workers receive ASTs by pickle; a compiled closure (which may capture a
     dispatch cache over the parent's class table) or a type/free-var memo
-    smuggled through would at best be stale and at worst unpicklable.  The
-    ``_memoless_state`` hook drops every underscore-prefixed slot -- this
-    pins that contract for the slots PR 6 added.
+    smuggled through would at best be stale and at worst unpicklable.  A
+    node pickles as its class and fields only -- this pins that contract
+    for every consumer of the per-node memo slot.
     """
 
     import pickle
 
+    from repro.analysis.footprint import footprint
     from repro.interp.compile import compile_node, is_compiled
     from repro.lang import ast as A
     from repro.lang import types as T
-    from repro.lang.resolve import alpha_key, free_var_tuple
+    from repro.lang.resolve import alpha_key
     from repro.typesys.typecheck import check_expr
 
     expr = A.Let("v", A.IntLit(5), A.call(A.Var("v"), "+", A.IntLit(1)))
     # Populate every per-node memo the evaluation pipeline writes.
     compile_node(expr)
     check_expr(expr, {}, orm_class_table)
-    A.free_vars(expr)
-    free_var_tuple(expr)
+    footprint(expr, {}, orm_class_table)
     alpha_key(expr)
+    holed = A.Seq(expr, A.TypedHole(T.INT))
+    A.first_hole(holed)
     assert is_compiled(expr)
-    assert "_type_memo" in expr.__dict__
-    assert "_free_vars" in expr.__dict__
-    assert "_fv_tuple" in expr.__dict__
-    assert "_alpha_memo" in expr.__dict__
+    for kind in ("type", "footprint", "alpha", "compiled"):
+        assert A.node_memo(expr, kind), kind
+    assert A.node_memo(holed, "first_hole")
 
-    revived = pickle.loads(pickle.dumps(expr))
-    for node in [revived] + [child for _, child in revived.children()]:
-        memo_slots = [k for k in node.__dict__ if k.startswith("_")]
-        assert memo_slots == [], f"pickled node carries memos: {memo_slots}"
+    revived_holed = pickle.loads(pickle.dumps(holed))
+    for node in A.walk(revived_holed):
+        assert node._memo is None, f"pickled node carries memos: {node!r}"
 
     # The revived tree is fully usable: it evaluates (recompiling fresh
     # closures on this side of the boundary) and typechecks.
+    revived = revived_holed.first
     interp = Interpreter(orm_class_table, backend="compiled")
     assert interp.eval(revived) == 6
     assert check_expr(revived, {}, orm_class_table) == T.INT
@@ -290,7 +341,7 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
 def test_pickled_program_evaluates_identically_after_compilation(orm_class_table):
     import pickle
 
-    from repro.interp.compile import compile_node
+    from repro.interp.compile import compile_node, is_compiled
     from repro.lang import ast as A
 
     program = A.MethodDef(
@@ -299,7 +350,7 @@ def test_pickled_program_evaluates_identically_after_compilation(orm_class_table
     compile_node(program.body)
     before = Interpreter(orm_class_table, backend="compiled").call_program(program, 3)
     revived = pickle.loads(pickle.dumps(program))
-    assert "_compiled" not in revived.body.__dict__
+    assert not is_compiled(revived.body)
     after = Interpreter(orm_class_table, backend="compiled").call_program(revived, 3)
     assert before == after == 5
 
