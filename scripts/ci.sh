@@ -38,9 +38,11 @@
 # * observability gate (bench_obs --check): disabled tracing costs <= 2% on
 #   the hot spec-evaluation path, and traced runs produce well-formed JSONL
 #   traces whose phase spans cover >= 95% of the root span.
-# * end-to-end correctness (e2ebench): the paper_warm selfcheck runs that
-#   workload in two fresh interpreters with random hash seeds and requires
-#   identical deterministic counters; one paper_cold pass must synthesize
+# * end-to-end correctness (e2ebench): the paper_warm and paper_cold
+#   selfchecks each run their workload in two fresh interpreters with random
+#   hash seeds and require identical deterministic counters (paper_cold
+#   guards the enumerator's shared production-index nodes, whose memos
+#   every candidate they fill reuses); one paper_cold pass must synthesize
 #   every Table 1 goal correctly (its last output line reports
 #   "correct": true).
 
@@ -149,8 +151,9 @@ python benchmarks/bench_obs.py \
     --min-benchmarks 3 \
     --check
 
-echo "== e2ebench correctness (paper_warm selfcheck + one paper_cold pass) =="
+echo "== e2ebench correctness (paper_warm + paper_cold selfchecks + one paper_cold pass) =="
 python3 e2ebench/run.py selfcheck --workload paper_warm
+python3 e2ebench/run.py selfcheck --workload paper_cold
 E2E_LAST="$(python3 e2ebench/run.py --workload paper_cold --seed 1 --seconds 0 --trace 0 | tail -n 1)"
 if ! grep -q '"correct": true' <<< "$E2E_LAST"; then
     echo "e2ebench paper_cold pass not correct: $E2E_LAST" >&2

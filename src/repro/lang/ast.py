@@ -543,12 +543,16 @@ def _iter_holes(
 def first_hole(node: Node) -> Optional[HoleSite]:
     """The left-most hole of ``node``, or ``None`` if the node is evaluable.
 
-    Memoized per node (its ``"first_hole"`` table holds one entry, under
-    the key ``None``): the search consults it on every expansion.
+    Memoized per compound node (its ``"first_hole"`` table holds one entry,
+    under the key ``None``): the search consults it on every expansion.  A
+    bare hole's site is built directly, since memoizing it would store the
+    hole in its own memo (a reference cycle).
     """
 
     if not node._holes:
         return None
+    if isinstance(node, (TypedHole, EffectHole)):
+        return HoleSite(node, ())
     site = node_memo(node, "first_hole").get(None)
     if site is None:
         site = next(iter_holes(node))

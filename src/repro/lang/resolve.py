@@ -26,10 +26,10 @@ This module is the resolution pass.  Its products:
   :class:`~repro.synth.cache.SynthCache` uses it for in-memory spec-outcome
   keys.
 
-``alpha_key`` is memoized *per context* in the node's ``"alpha"`` memo
-table: the key of a subtree depends on its position only through the De
-Bruijn distances of its free variables, so the table is keyed by that
-distance tuple.  A pickled node carries no memo, so alpha keys never cross
+``alpha_key`` is memoized *per context* in a compound node's ``"alpha"``
+memo table (a leaf's key is computed directly): the key of a subtree
+depends on its position only through the De Bruijn distances of its free
+variables, so the table is keyed by that distance tuple.  A pickled node carries no memo, so alpha keys never cross
 the process boundary in the parallel subsystem and are recomputed
 (deterministically) on the far side.
 
@@ -105,6 +105,10 @@ def alpha_key(node: A.Node, scope: Tuple[str, ...] = ()) -> Hashable:
 
 
 def _alpha(node: A.Node, bound: Tuple[str, ...]) -> Hashable:
+    if node._count == 1:
+        # A leaf's key costs O(1); memoizing it would store the leaf in its
+        # own memo (a reference cycle) for nothing.
+        return _alpha_structural(node, bound)
     # The key depends on ``bound`` only through the De Bruijn distances of
     # the node's free variables (every deeper lookup crosses a statically
     # known number of binders), so that distance tuple is a sound memo

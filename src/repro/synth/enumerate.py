@@ -17,6 +17,25 @@ enumerator produces every one-step refinement:
 With ``use_types=False`` (the "E only"/"TE disabled" modes of Figure 7) the
 same productions fire but the subtype filters are dropped, which degenerates
 into naive term enumeration.
+
+The S-Const and S-App replacements depend only on the hole's type, the
+goal's constants and the class table, so they come from a per-problem
+:class:`ProductionIndex` instead of being re-filtered on every expansion:
+
+* *Key:* ``(tau, use_types)``, within one index per class-table
+  ``generation`` and constants tuple.
+* *Value:* the constant and call-template ``(node, type)`` pairs, built
+  once and handed out as the same immutable nodes from then on, so the
+  per-node memos of a template (left-most hole, types, footprints) are
+  shared by every candidate it fills.
+* *Order:* exactly the filter's order -- constants (goal constants, then
+  those implied by the hole type), then methods in declaration order;
+  ``use_types=False`` gets the unfiltered lists.
+* *Lifetime and invalidation:* the index hangs off the
+  :class:`~repro.synth.goal.SynthesisProblem`.  A class-table mutation
+  (``add_class``/``add_method``/``remove_method``) moves the table's
+  generation and the next expansion replaces the index, leaving the old
+  one unreachable; so does assigning new ``constants``.
 """
 
 from __future__ import annotations
@@ -35,6 +54,9 @@ from repro.typesys.typecheck import SynTypeError, check_expr
 #: A candidate replacement for a hole together with its (statically known)
 #: type, or ``None`` when the type cannot narrow the hole's annotation.
 Candidate = Tuple[A.Node, Optional[T.Type]]
+
+#: The indexed replacements for one hole type: ``(constants, calls)``.
+Productions = Tuple[Tuple[Candidate, ...], Tuple[Candidate, ...]]
 
 
 @dataclass
@@ -75,19 +97,19 @@ def fits(actual: T.Type, expected: T.Type, ct: ClassTable, use_types: bool) -> b
 
 
 def constant_candidates(
-    hole: A.TypedHole, problem: SynthesisProblem, config: SynthConfig
+    hole_type: T.Type, problem: SynthesisProblem, use_types: bool
 ) -> List[Candidate]:
     """S-Const plus constants implied by the hole's type."""
 
     ct = problem.class_table
     results: List[Candidate] = []
     for expr, const_type in problem.constant_exprs():
-        if fits(const_type, hole.type, ct, config.use_types):
+        if fits(const_type, hole_type, ct, use_types):
             results.append((expr, const_type))
 
     # Constants implied by the hole's type: symbol literals for singleton
     # symbol types and the class constant for singleton class types.
-    for member in T.union_members(hole.type):
+    for member in T.union_members(hole_type):
         if isinstance(member, T.SymbolType):
             results.append((A.SymLit(member.name), member))
         elif isinstance(member, T.SingletonClassType):
@@ -141,14 +163,13 @@ def hash_access_candidates(
 
 
 def call_candidates(
-    hole: A.TypedHole, problem: SynthesisProblem, config: SynthConfig
+    hole_type: T.Type, ct: ClassTable, use_types: bool
 ) -> List[Candidate]:
     """S-App: method-call templates with fresh holes for receiver and args."""
 
-    ct = problem.class_table
     results: List[Candidate] = []
     for resolved in ct.resolved_synthesis_methods():
-        if not fits(resolved.ret_type, hole.type, ct, config.use_types):
+        if not fits(resolved.ret_type, hole_type, ct, use_types):
             continue
         results.append((call_template(resolved), resolved.ret_type))
     return results
@@ -198,6 +219,54 @@ def hash_candidates(
 
 
 # ---------------------------------------------------------------------------
+# The production index
+# ---------------------------------------------------------------------------
+
+
+class ProductionIndex:
+    """S-Const and S-App replacements per hole type, for one problem state.
+
+    Valid for one class-table ``generation`` and one ``constants`` tuple;
+    :func:`productions` replaces it as soon as either moves.
+    """
+
+    __slots__ = ("generation", "constants", "entries")
+
+    def __init__(self, generation: int, constants: Tuple) -> None:
+        self.generation = generation
+        self.constants = constants
+        self.entries: Dict[Tuple[T.Type, bool], Productions] = {}
+
+
+def productions(
+    hole_type: T.Type, problem: SynthesisProblem, use_types: bool
+) -> Productions:
+    """The ``(constants, calls)`` replacements for a hole of ``hole_type``.
+
+    Built on first use per ``(hole_type, use_types)`` and shared from then
+    on: callers get the same tuples, and so the same nodes, every time.
+    """
+
+    ct = problem.class_table
+    index = problem._productions
+    if (
+        index is None
+        or index.generation != ct.generation
+        or index.constants is not problem.constants
+    ):
+        index = ProductionIndex(ct.generation, problem.constants)
+        problem._productions = index
+    key = (hole_type, use_types)
+    entry = index.entries.get(key)
+    if entry is None:
+        entry = index.entries[key] = (
+            tuple(constant_candidates(hole_type, problem, use_types)),
+            tuple(call_candidates(hole_type, ct, use_types)),
+        )
+    return entry
+
+
+# ---------------------------------------------------------------------------
 # One-step expansion of the left-most typed hole
 # ---------------------------------------------------------------------------
 
@@ -214,12 +283,12 @@ def expand_typed_hole(
     hole = site.hole
     env = env_at_hole(expr, site, problem)
 
-    replacements: List[Candidate] = []
-    replacements += constant_candidates(hole, problem, config)
+    constants, calls = productions(hole.type, problem, config.use_types)
+    replacements: List[Candidate] = list(constants)
     replacements += variable_candidates(hole, env, problem, config)
     replacements += hash_access_candidates(hole, env, problem, config)
     replacements += hash_candidates(hole, problem, config)
-    replacements += call_candidates(hole, problem, config)
+    replacements += calls
 
     param_env = dict(problem.param_env)
     results: List[A.Node] = []

@@ -18,7 +18,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.lang import ast as A
 from repro.lang import types as T
@@ -35,11 +45,13 @@ from repro.typesys.sigparser import parse_method_sig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.activerecord.database import Database
     from repro.synth.cache import SynthCache
+    from repro.synth.enumerate import ProductionIndex
     from repro.synth.search import SearchStats
     from repro.synth.state import StateManager
 
 SetupFn = Callable[["SpecContext"], None]
 PostcondFn = Callable[["SpecContext", Any], None]
+_E = TypeVar("_E", bound=BaseException)
 
 
 @dataclass(frozen=True)
@@ -174,6 +186,12 @@ class SynthesisProblem:
     #: Number of reset-closure invocations (the state-rebuild work the
     #: snapshot subsystem removes; surfaced as ``SearchStats.reset_replays``).
     _reset_count: int = field(default=0, init=False, repr=False, compare=False)
+    #: The enumerator's S-Const/S-App production index
+    #: (:func:`repro.synth.enumerate.productions`); rebuilt whenever the
+    #: class table's generation or the constants change.
+    _productions: Optional["ProductionIndex"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_signature(
@@ -322,7 +340,14 @@ def constant_to_expr(value: Any) -> Tuple[A.Node, T.Type]:
 
 @dataclass
 class SpecOutcome:
-    """The result of running one candidate program against one spec."""
+    """The result of running one candidate program against one spec.
+
+    ``failure`` and ``error`` keep the caught exception's type, message and
+    (for assertion failures) effects, but carry no ``__traceback__``,
+    ``__context__`` or ``__cause__``: a traceback would pin the search's
+    frames, making every memoized outcome part of a reference cycle that
+    only a full collection can free.
+    """
 
     ok: bool
     passed_asserts: int = 0
@@ -458,12 +483,16 @@ def _evaluate_spec_impl(
         raise
     except AssertionFailure as failure:
         outcome = SpecOutcome(
-            ok=False, passed_asserts=ctx.passed_asserts, failure=failure
+            ok=False, passed_asserts=ctx.passed_asserts, failure=_detached(failure)
         )
     except SynRuntimeError as error:
-        outcome = SpecOutcome(ok=False, passed_asserts=ctx.passed_asserts, error=error)
+        outcome = SpecOutcome(
+            ok=False, passed_asserts=ctx.passed_asserts, error=_detached(error)
+        )
     except Exception as error:  # noqa: BLE001 - candidate-induced spec crashes
-        outcome = SpecOutcome(ok=False, passed_asserts=ctx.passed_asserts, error=error)
+        outcome = SpecOutcome(
+            ok=False, passed_asserts=ctx.passed_asserts, error=_detached(error)
+        )
     if capture_invoke:
         outcome.invoke_pair = _union_pairs(ctx.invoke_pairs)
     if state is not None:
@@ -477,6 +506,16 @@ def _evaluate_spec_impl(
     if cache is not None and not capture_invoke:
         cache.store_spec(problem, program, spec, outcome)
     return outcome
+
+
+def _detached(error: _E) -> _E:
+    """``error`` with its traceback and exception chain dropped (see
+    :class:`SpecOutcome`)."""
+
+    error.__traceback__ = None
+    error.__context__ = None
+    error.__cause__ = None
+    return error
 
 
 def _union_pairs(pairs: Sequence[EffectPair]) -> EffectPair:

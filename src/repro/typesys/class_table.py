@@ -109,6 +109,7 @@ class ClassTable:
         # are interned in the table) to avoid hashing large dataclasses.
         self._resolve_cache: Dict[Tuple[int, T.Type], ResolvedSig] = {}
         self._subtype_cache: Dict[Tuple[T.Type, T.Type], bool] = {}
+        self._resolved_methods: Optional[List[ResolvedSig]] = None
         for name, superclass in T.BUILTIN_CLASSES.items():
             self._classes[name] = ClassInfo(name, superclass)
 
@@ -127,7 +128,7 @@ class ClassTable:
         self._generation = next(_GENERATIONS)
         self._resolve_cache.clear()
         self._subtype_cache.clear()
-        self._resolved_methods: Optional[List[ResolvedSig]] = None
+        self._resolved_methods = None
 
     # -- classes -------------------------------------------------------------
 
@@ -251,16 +252,15 @@ class ClassTable:
     def resolved_synthesis_methods(self) -> List[ResolvedSig]:
         """Every synthesis-eligible method resolved at its default receiver.
 
-        The result is cached (keyed off the resolve cache) because the
-        enumerator consults this list on every hole expansion.
+        Cached until the next mutation: the enumerator's production index
+        and the effect-guided writer scan build on this list.
         """
 
-        cached = getattr(self, "_resolved_methods", None)
-        if cached is not None:
-            return cached
-        resolved = [self.resolve(sig) for sig in self.synthesis_methods()]
-        self._resolved_methods = resolved
-        return resolved
+        if self._resolved_methods is None:
+            self._resolved_methods = [
+                self.resolve(sig) for sig in self.synthesis_methods()
+            ]
+        return self._resolved_methods
 
     def is_subtype(self, t1: T.Type, t2: T.Type) -> bool:
         """Memoized subtype query (the hot path of candidate filtering)."""

@@ -5,18 +5,22 @@ across simulated process boundaries, and corrupted/stale store handling."""
 
 from __future__ import annotations
 
+import gc
 import json
 import sqlite3
+import types
 
 import pytest
 
 from repro.benchmarks import get_benchmark, run_benchmark
+from repro.lang import ast as A
 from repro.lang.effects import PRECISIONS
 from repro.synth import (
     SpecOutcomeStore,
     SynthConfig,
     SynthesisSession,
 )
+from repro.synth.goal import SpecOutcome
 from repro.synth.store import (
     STORE_VERSION,
     outcome_from_json,
@@ -382,3 +386,39 @@ def test_two_pass_figure8_sweep_matches_cold_and_hits_store(tmp_path):
     assert resets(pass2) < resets(pass1) <= resets(cold)
     assert store_hits(pass2) >= 1
     assert store_hits(pass1) == 0
+
+
+# ---------------------------------------------------------------------------
+# Memory: a finished session is freed by reference counting alone
+# ---------------------------------------------------------------------------
+
+
+def test_finished_session_leaves_no_cyclic_search_state():
+    """Dropping a session, its result and its problem must free the search
+    without the cycle collector: memoized outcomes carry no traceback into
+    the search's frames, and no node memoizes itself."""
+
+    benchmark = get_benchmark("S6")
+    problem = benchmark.build()
+    gc.collect()
+    flags = gc.get_debug()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        session = SynthesisSession(benchmark.make_config(SynthConfig(timeout_s=60)))
+        result = session.run(problem)
+        assert result.success
+        session.close()
+        del session, result, problem
+        gc.collect()
+        leaked = gc.garbage[before:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+    search_state = [
+        obj
+        for obj in leaked
+        if isinstance(obj, (SpecOutcome, types.FrameType, types.TracebackType, A.Node))
+    ]
+    assert search_state == []
+    assert len(leaked) < 1000
