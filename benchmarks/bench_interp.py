@@ -25,8 +25,7 @@ rounds for one benchmark run interleaved back-to-back (the harness's
 paired-measurement hook) once both sides have synthesized.
 The report/CLI plumbing shared with ``bench_cache.py``/``bench_state.py``
 lives in :mod:`ab_harness`.  The persistent-store options of the shared
-CLI are accepted but unused here (backend choice has no store interaction),
-and ``--jobs`` is ignored: throughput is a single-process measurement.
+CLI are accepted but unused here (backend choice has no store interaction).
 
 Usage::
 
@@ -89,7 +88,6 @@ def _run(
     timeout_s: float,
     enabled: bool,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     backend = "compiled" if enabled else "tree"
     benchmark = get_benchmark(benchmark_id)
@@ -259,18 +257,16 @@ def compare_benchmark(
     benchmark_id: str,
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path, jobs)
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
 
 
 def build_report(
     benchmark_ids: Sequence[str],
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path, jobs)
+    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

@@ -46,7 +46,7 @@ for _path in (_SRC, _HERE):
 
 from repro.benchmarks import all_benchmarks, get_benchmark  # noqa: E402
 from repro.synth.config import SynthConfig  # noqa: E402
-from repro.synth.parallel import ParallelExecutor  # noqa: E402
+from repro.synth.parallel import ParallelExecutor, await_cell  # noqa: E402
 from repro.synth.session import SynthesisSession  # noqa: E402
 
 SCHEMA_VERSION = 1
@@ -89,11 +89,15 @@ def _run_parallel(
     config = SynthConfig.full(timeout_s=timeout_s)
     start = time.perf_counter()
     with ParallelExecutor(jobs, base_config=config) as executor:
+        cells = [(bid, get_benchmark(bid).make_config(config)) for bid in benchmark_ids]
         futures = [
-            (bid, executor.submit_cell(bid, get_benchmark(bid).make_config(config), fresh=False, runs=repeat))
-            for bid in benchmark_ids
+            (bid, cell_config, executor.submit_cell(bid, cell_config, fresh=False, runs=repeat))
+            for bid, cell_config in cells
         ]
-        results = [(bid, future.get()) for bid, future in futures]
+        results = [
+            (bid, await_cell(future, cell_config, runs=repeat))
+            for bid, cell_config, future in futures
+        ]
     elapsed = time.perf_counter() - start
     programs: Dict[str, List[Optional[str]]] = {}
     success = True

@@ -216,16 +216,6 @@ class QueryStats:
                     rows_examined=self.rows_examined,
                 )
 
-    def merge(self, other: "QueryStats") -> None:
-        """Fold another database's counters in (every field, enforced by the
-        metrics-registry completeness test)."""
-
-        self.index_hits += other.index_hits
-        self.scans += other.scans
-        self.shortcuts += other.shortcuts
-        self.index_builds += other.index_builds
-        self.rows_examined += other.rows_examined
-
     def copy(self) -> "QueryStats":
         return QueryStats(**{f.name: getattr(self, f.name) for f in _dataclass_fields(self)})
 

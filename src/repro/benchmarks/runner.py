@@ -144,20 +144,25 @@ def run_benchmark(
     Per-benchmark config overrides (e.g. a larger size bound) are applied on
     top of ``config`` either way.
 
-    ``parallel`` enables the worker pool of :mod:`repro.synth.parallel`:
-    warm runs fan each run's per-spec searches out across workers (through
-    the active session), and cold runs distribute the isolated repetitions
-    themselves over a throwaway pool.  Each repetition stays a fully cold
-    cell, but repetitions then run *concurrently*, so their wall-clock
-    includes co-scheduling contention: use ``parallel=1`` (the default)
-    when medians must be comparable to isolated serial runs (the paper's
-    Table 1 numbers); parallel cold runs trade that comparability for
-    throughput on multi-core hosts.
+    ``parallel`` distributes the isolated cold repetitions over a
+    throwaway worker pool (:mod:`repro.synth.parallel`); each one stays a
+    fully cold cell, waited on no longer than ``timeout_s``.  Repetitions
+    then run *concurrently*, so their wall-clock includes co-scheduling
+    contention: use ``parallel=1`` (the default) when medians must be
+    comparable to isolated serial runs (the paper's Table 1 numbers).
+    Warm runs share one session's resources across the repetitions, so
+    they run serially; ``warm_state=True`` with ``parallel > 1`` raises
+    :class:`ValueError`.
     """
 
     effective = benchmark.make_config(config)
     result = BenchmarkResult(benchmark=benchmark, config=effective)
     jobs = max(int(parallel), 1)
+    if warm_state and jobs > 1:
+        raise ValueError(
+            "run_benchmark(warm_state=True) runs serially; parallel > 1 "
+            "applies only to cold repetitions (warm_state=False)"
+        )
 
     if not warm_state:
         if jobs > 1 and runs > 1:
@@ -183,7 +188,7 @@ def run_benchmark(
         result.lib_methods = problem.library_method_count()
         for _ in range(max(runs, 1)):
             start = time.perf_counter()
-            outcome = active.run(problem, config=effective, parallel=jobs)
+            outcome = active.run(problem, config=effective)
             elapsed = time.perf_counter() - start
             result.record(outcome, elapsed)
             if not outcome.success:
@@ -203,7 +208,7 @@ def _run_cold_parallel(
 ) -> BenchmarkResult:
     """Distribute a cold benchmark's isolated repetitions over a pool."""
 
-    from repro.synth.parallel import ParallelExecutor
+    from repro.synth.parallel import ParallelExecutor, await_cell
 
     problem = benchmark.build()
     result.specs = len(problem.specs)
@@ -214,7 +219,7 @@ def _run_cold_parallel(
             for _ in range(max(runs, 1))
         ]
         for future in futures:
-            payload = future.get()[0]
+            payload = await_cell(future, effective)[0]
             result.record(payload.to_result(problem), payload.elapsed_s)
             if not payload.success:
                 break

@@ -4,15 +4,15 @@ The engine grew one ad-hoc counter dataclass per subsystem --
 ``SearchStats`` (search), ``CacheStats`` (evaluation memo + persistent
 store counters), ``StateStats`` (snapshots), ``QueryStats`` (ORM
 planner), ``StoreStats`` (on-disk store file) -- each with its own
-``as_dict``/``merge``.  :class:`MetricsRegistry` wraps any number of them
+``as_dict``.  :class:`MetricsRegistry` wraps any number of them
 (live references, so a snapshot always reflects the current values)
 behind a single schema-versioned ``snapshot()`` export, alongside
 free-standing counters/gauges and per-phase wall-time histograms.
 
 Snapshots are plain JSON-able dicts; :func:`merge_snapshots` folds two of
 them (summing counters and numeric stats fields, or-ing booleans,
-combining histograms) so parallel workers' metrics merge the same way
-their stats dataclasses already do.
+combining histograms), which is how a benchmark's repeated runs report
+one total.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def stats_sources() -> Dict[str, type]:
 
     A function (not a module constant) so importing :mod:`repro.obs`
     never drags the whole engine in; the completeness tests iterate this
-    to lock every class into the export/merge path.
+    to lock every class into the snapshot export.
     """
 
     from repro.activerecord.database import QueryStats

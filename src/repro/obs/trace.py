@@ -31,11 +31,10 @@ followed by one JSON object per event::
     {"kind": "event", "name": ..., "parent": ..., "worker": ...,
      "ts": <ns>, "attrs": {...}}
 
-Parallel workers run a *collecting* tracer (``path=None``) per task and
-ship ``export()``-ed events back inside their task results; the parent
-:meth:`Tracer.absorb`-s them in the same deterministic order the existing
-stats merge resolves results, re-parenting each task's root events onto
-the parent's current span.
+Parallel workers run a *collecting* tracer (``path=None``) per sweep cell
+and ship ``export()``-ed events back inside the cell's result; the parent
+:meth:`Tracer.absorb`-s them in the sweep's deterministic cell order,
+re-parenting each cell's root events onto the parent's current span.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.synth.cache import CacheStats, SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.dsl import define
 from repro.synth.goal import Spec, SpecContext, SynthesisProblem, evaluate_spec
-from repro.synth.parallel import ParallelExecutor, run_synthesis_parallel
+from repro.synth.parallel import ParallelExecutor
 from repro.synth.session import SweepEntry, SynthesisSession
 from repro.synth.state import (
     NondeterministicSetupError,
@@ -54,7 +54,6 @@ __all__ = [
     "SpecOutcomeStore",
     "StoreStats",
     "ParallelExecutor",
-    "run_synthesis_parallel",
     "SweepEntry",
     "SynthesisSession",
     "SynthesisResult",

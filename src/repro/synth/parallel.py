@@ -1,60 +1,55 @@
-"""The multi-process synthesis execution layer.
+"""The multi-process synthesis execution layer: whole cells on a worker pool.
 
-The paper's search synthesizes one guarded solution per spec and couples
-them only at the merge step, so the per-spec searches that dominate the
-Table 1 / Figure 7 / Figure 8 wall-clock are embarrassingly parallel.  This
-module realises that as a worker pool owned by
-:class:`~repro.synth.session.SynthesisSession`, fanning out two task shapes:
+The pool's unit of work is one whole ``(problem, variant)`` cell -- a
+complete :func:`~repro.synth.synthesizer.run_synthesis` run -- never a
+piece of one.  Two callers submit cells:
 
-* **per-spec tasks** within one problem -- every spec's
-  :func:`~repro.synth.search.generate_for_spec` search (and the merge
-  phase's initial :func:`~repro.synth.search.generate_guard` syntheses) runs
-  in a worker while the parent session keeps the serial control flow;
-* **cell tasks** across a sweep -- whole ``(problem, variant)`` cells of
-  :meth:`SynthesisSession.sweep` (and the repeated cold runs of
-  :func:`~repro.benchmarks.runner.run_benchmark`) are distributed over the
-  pool, each worker holding a persistent warm session of its own.
+* :meth:`SynthesisSession.sweep(..., parallel=N)
+  <repro.synth.session.SynthesisSession.sweep>` distributes a sweep's
+  registry cells, warm or cold;
+* :func:`~repro.benchmarks.runner.run_benchmark` with ``warm_state=False``
+  and ``parallel=N`` distributes a benchmark's isolated cold repetitions.
 
-Determinism and serial equivalence
-----------------------------------
+A single synthesis run always stays in one process.  Its specs are coupled
+by Section 4 solution reuse (a later spec first re-tries earlier specs'
+solutions), so fanning one run's searches out would start searches that
+reuse then makes redundant; cells share nothing but the store, so they
+parallelise without waste.
 
-The work-list search is deterministic for a fixed problem and config, and
-worker processes are forked from the parent (same interpreter state, same
-string-hash seed), so a worker's search finds exactly the expression the
-serial search would.  The remaining coupling between specs is *solution
-reuse*: serially, spec ``i`` first re-tries the solutions of specs
-``0..i-1`` and only searches on a miss.  The parallel run therefore
-dispatches every spec's search *speculatively*, then replays the serial
-resolution loop in the parent: reuse is evaluated with the parent's warm
-resources, a covered spec's speculative result is discarded (counted in
-``SearchStats.parallel_discarded``, its counters dropped so merged totals
-match a serial run), and an uncovered spec adopts the worker's result.
+Fork determinism
+----------------
 
-Workers run with a **per-worker** :class:`~repro.synth.cache.SynthCache`
-(one fresh memo per task for per-spec tasks, a persistent session memo for
-cell tasks).  A per-spec task exports the memo entries it recorded and the
-parent absorbs them (:func:`absorb_memo`), so later phases -- simplify
-validation, merge ordering, guard negation checks -- hit the memo exactly
-as they would have after a serial search.  Absorbed outcomes are
-store-shaped (``value=None``, reconstructed errors), which is sufficient:
-the search branches only on ``ok`` / ``passed_asserts`` / the failure's
-read effect.
+Workers are forked from the parent: same interpreter state, same
+string-hash seed (on which candidate-enumeration order depends).  The
+work-list search is deterministic for a fixed problem and config, so a cell
+run in a worker synthesizes exactly the program the same cell synthesizes
+serially.  A cold cell builds a fresh problem in a throwaway store-less
+session, exactly as it does serially, so it also reports the serial cold
+cell's counters.  Each worker holds one persistent warm
+:class:`~repro.synth.session.SynthesisSession`, so warm cells are warm *per
+worker* and their counters reflect that worker's earlier cells.  Where
+``fork`` is unavailable the pool falls back to ``spawn``, which keeps
+results valid but may explore in a different order.
 
-Workers share work across processes through the persistent spec-outcome
-store: each worker opens the session's
-:class:`~repro.synth.store.SpecOutcomeStore` by path (its SQLite upserts
-are concurrent-safe) and persists the outcomes it executes itself, so the
-parent only absorbs exported memo entries into its in-memory cache.
+Store sharing
+-------------
 
-Problems must be *reconstructable in the worker*, which is true exactly for
-registry benchmarks (workers rebuild them by id and cache them per worker
-session).  Ad-hoc :class:`~repro.synth.goal.SynthesisProblem` objects carry
-arbitrary closures and fall back to the serial path.
+A worker's session opens the parent session's
+:class:`~repro.synth.store.SpecOutcomeStore` by path (its SQLite upserts are
+concurrent-safe) and flushes it after every cell, so outcomes executed in
+one process are store hits in every other and in later sessions.  The
+parent flushes its own connection before the pool starts.
 
-Budgets are per task: each worker search gets the full ``timeout_s``, so a
-parallel run bounds the *per-phase* time rather than the end-to-end time
-the serial budget enforces.  A worker timeout surfaces exactly like a
-serial one (``timed_out`` result).
+Bounded waits
+-------------
+
+The parent collects cells in submission order through :func:`await_cell`,
+which waits no longer than the cell's own synthesis budget (``timeout_s``
+per run), counted from when the parent starts waiting on it: cells are
+queued first-in first-out and awaited in order, so by then the cell has
+been dispatched.  A worker that dies mid-cell never completes its future;
+its wait expires and the cell reports ``timed_out`` instead of hanging the
+sweep.  Only ``timeout_s=None`` waits without bound.
 """
 
 from __future__ import annotations
@@ -64,85 +59,25 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.activerecord.database import QueryStats
 from repro.lang import ast as A
 from repro.obs import trace
-from repro.synth.cache import TRACKED, CacheStats, SynthCache
+from repro.synth.cache import CacheStats
 from repro.synth.config import SynthConfig
-from repro.synth.goal import Budget, SynthesisTimeout, evaluate_spec
-from repro.synth.merge import Merger, SpecSolution
-from repro.synth.search import SearchStats, generate_for_spec, generate_guard
-from repro.synth.simplify import simplify
+from repro.synth.goal import Budget
+from repro.synth.search import SearchStats
 from repro.synth.state import StateStats
-from repro.synth.store import outcome_from_json, outcome_to_json
-from repro.synth.synthesizer import (
-    SynthesisResult,
-    _RunCounters,
-    _adopt_hint,
-    _reuse_solution,
-)
+from repro.synth.synthesizer import SynthesisResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.goal import SynthesisProblem
-    from repro.synth.state import StateManager
-
-#: Marker for a disabled cache's tracked-key memo exports (no outcome kept).
-TRACKED_MARK = "__tracked__"
-
-
-# ---------------------------------------------------------------------------
-# Task payloads (everything here crosses the process boundary)
-# ---------------------------------------------------------------------------
-
-#: One exported memo entry: ``(kind, program, spec_index, value)`` where
-#: ``value`` is an ``outcome_to_json`` payload for specs, a truthiness for
-#: guards, or :data:`TRACKED_MARK` for a disabled cache's key tracking.
-MemoEntry = Tuple[str, A.Node, int, Any]
-
-
-@dataclass
-class SpecTaskResult:
-    """A worker's answer to one speculative per-spec search."""
-
-    spec_index: int
-    expr: Optional[A.Node]
-    timed_out: bool
-    stats: SearchStats
-    cache_stats: CacheStats
-    state_stats: Optional[StateStats]
-    reset_replays: int
-    query_stats: Optional[QueryStats]
-    memo: List[MemoEntry]
-    #: Wall time of the worker's search, reported to the parent's
-    #: ``spec_search`` phase histogram when the task is consumed.
-    elapsed_s: float = 0.0
-    #: Trace events collected in the worker (empty unless tracing is on).
-    trace_events: List[dict] = field(default_factory=list)
-
-
-@dataclass
-class GuardTaskResult:
-    """A worker's answer to one guard synthesis task."""
-
-    guard: Optional[A.Node]
-    timed_out: bool
-    stats: SearchStats
-    cache_stats: CacheStats
-    state_stats: Optional[StateStats]
-    reset_replays: int
-    query_stats: Optional[QueryStats]
-    memo: List[MemoEntry]
-    elapsed_s: float = 0.0
-    trace_events: List[dict] = field(default_factory=list)
 
 
 @dataclass
 class CellTaskResult:
     """A worker's answer to one sweep/benchmark cell."""
 
-    benchmark_id: str
     success: bool
     timed_out: bool
     program: Optional[A.MethodDef]
@@ -150,8 +85,6 @@ class CellTaskResult:
     stats: SearchStats
     cache_stats: Optional[CacheStats]
     state_stats: Optional[StateStats]
-    specs: int
-    lib_methods: int
     #: The cell run's unified metrics snapshot (``SynthesisResult.metrics``).
     metrics: Optional[dict] = None
     #: Trace events collected in the worker (empty unless tracing is on).
@@ -171,30 +104,6 @@ class CellTaskResult:
             state_stats=self.state_stats,
             metrics=self.metrics,
         )
-
-
-@dataclass
-class WorkerTotals:
-    """Worker-side counters that cannot flow through the parent's objects.
-
-    Cache counters are merged straight into the parent's ``SynthCache`` (so
-    ``_RunCounters`` deltas pick them up), but state restores/rebuilds and
-    reset replays live on worker-local managers and problems; they are
-    accumulated here and folded into the result after ``finish``.
-    """
-
-    state: StateStats = field(default_factory=StateStats)
-    reset_replays: int = 0
-    query: QueryStats = field(default_factory=QueryStats)
-    have_state: bool = False
-
-    def add(self, task: "SpecTaskResult | GuardTaskResult") -> None:
-        if task.state_stats is not None:
-            self.state.merge(task.state_stats)
-            self.have_state = True
-        self.reset_replays += task.reset_replays
-        if task.query_stats is not None:
-            self.query.merge(task.query_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +136,20 @@ def _worker_init(base_config: SynthConfig, store_path: Optional[str]) -> None:
     _WORKER = _WorkerState(base_config, store_path)
 
 
-def _worker_call(task: Tuple) -> Any:
-    """Task dispatcher run inside the pool; flushes the store per task.
+def _worker_call(task: Tuple) -> List["CellTaskResult"]:
+    """Run one cell task inside the pool; flushes the store afterwards.
 
     When the task's config carries a ``trace_path`` the parent is tracing:
-    the worker collects this task's events in memory (tagged with a
-    per-process worker id) and ships them back on the task result for the
-    parent to absorb into its trace.
+    the worker collects the cell's events in memory (tagged with a
+    per-process worker id) and ships them back on the cell's payloads for
+    the parent to absorb into its trace.
     """
 
-    kind = task[0]
-    collecting = getattr(task[2], "trace_path", None) is not None
+    collecting = task[1].trace_path is not None
     if collecting:
         trace.start_collecting(worker=f"w{os.getpid()}")
     try:
-        if kind == "spec":
-            result = _run_spec_task(*task[1:])
-        elif kind == "guard":
-            result = _run_guard_task(*task[1:])
-        elif kind == "cell":
-            result = _run_cell_task(*task[1:])
-        else:
-            raise ValueError(f"unknown worker task kind {kind!r}")
-        if collecting and kind != "cell":
-            result.trace_events = trace.TRACER.export()
-        return result
+        return _run_cell_task(*task)
     finally:
         if collecting:
             trace.reset_after_fork()
@@ -260,204 +158,14 @@ def _worker_call(task: Tuple) -> Any:
             store.flush()
 
 
-def await_task(future, budget: Budget, what: str) -> Any:
-    """A pool task's result, waited for no longer than ``budget`` has left.
-
-    A worker that dies mid-task never completes its future; bounding the
-    wait turns that into the run's ordinary :class:`SynthesisTimeout`.
-    """
-
-    try:
-        return future.get(budget.remaining())
-    except multiprocessing.TimeoutError:
-        raise SynthesisTimeout(f"timeout while {what}") from None
-
-
-def _task_problem(benchmark_id: str, config: SynthConfig):
-    """The worker's warm problem for a benchmark, at the config's precision."""
-
-    session = _WORKER.session
-    problem = session.problem_for(benchmark_id)
-    runner = session._at_precision(problem, config.effect_precision)
-    state = session._state_for(runner, config, fresh=False)
-    if state is not None:
-        state.verify_every = config.verify_recordings
-    return session, runner, state
-
-
-def _fresh_cache(session, config: SynthConfig) -> SynthCache:
-    """A per-task memo (clean export delta) backed by the worker's store."""
-
-    cache = SynthCache.from_config(config)
-    cache.store = session.store
-    return cache
-
-
-def _export_memo(cache: SynthCache, problem: "SynthesisProblem") -> List[MemoEntry]:
-    """Serialize the task's memo entries for parent absorption.
-
-    Spec objects cannot cross the process boundary (closures), so entries
-    are keyed by the spec's index in the problem; outcomes are shipped as
-    their store payloads.
-    """
-
-    index_of = {spec: i for i, spec in enumerate(problem.specs)}
-    out: List[MemoEntry] = []
-    # Private access by design: the export *is* the memo content.  Keys hold
-    # the program's alpha-key (not a node), so the representative program is
-    # taken from the cache's side map.
-    for key, value in cache._entries.items():
-        kind, _akey, spec, _precision = key
-        program = cache._programs.get(key)
-        index = index_of.get(spec)
-        if index is None or program is None:  # pragma: no cover - tasks only touch problem specs
-            continue
-        if value is TRACKED:
-            out.append((kind, program, index, TRACKED_MARK))
-        elif kind == "spec":
-            out.append((kind, program, index, outcome_to_json(value)))
-        else:
-            out.append((kind, program, index, value))
-    return out
-
-
-def absorb_memo(
-    cache: SynthCache, problem: "SynthesisProblem", memo: Sequence[MemoEntry]
-) -> None:
-    """Seed a worker's exported memo entries into the parent cache.
-
-    The outcomes are not written to the parent's store: the worker already
-    persisted them to the shared store itself.
-    """
-
-    for kind, program, index, value in memo:
-        spec = problem.specs[index]
-        if kind == "spec":
-            outcome = TRACKED if value == TRACKED_MARK else outcome_from_json(value)
-            cache.seed_spec(problem, program, spec, outcome)
-        else:
-            truth = TRACKED if value == TRACKED_MARK else value
-            cache.seed_guard(problem, program, spec, truth)
-
-
-def _run_spec_task(
-    benchmark_id: str, config: SynthConfig, spec_index: int
-) -> SpecTaskResult:
-    session, problem, state = _task_problem(benchmark_id, config)
-    cache = _fresh_cache(session, config)
-    problem.register_cache(cache)
-    spec = problem.specs[spec_index]
-    stats = SearchStats()
-    budget = Budget(config.timeout_s)
-    resets_before = problem.reset_replays
-    if state is not None:
-        # Attribute only this task's query counters to its stats delta.
-        state.sync_query_stats()
-    state_before = state.stats.copy() if state is not None else None
-    query_before = (
-        problem.database.query_stats.copy() if problem.database is not None else None
-    )
-    expr: Optional[A.Node] = None
-    timed_out = False
-    task_started = time.perf_counter()
-    try:
-        expr = generate_for_spec(
-            problem, spec, config, budget=budget, stats=stats, cache=cache, state=state
-        )
-    except SynthesisTimeout:
-        timed_out = True
-    finally:
-        task_elapsed = time.perf_counter() - task_started
-        problem.unregister_cache(cache)
-    if state is not None:
-        state.sync_query_stats()
-    query_delta = (
-        problem.database.query_stats.since(query_before)
-        if query_before is not None
-        else None
-    )
-    return SpecTaskResult(
-        spec_index=spec_index,
-        expr=expr,
-        timed_out=timed_out,
-        stats=stats,
-        cache_stats=cache.stats,
-        state_stats=state.stats.since(state_before) if state is not None else None,
-        reset_replays=problem.reset_replays - resets_before,
-        query_stats=query_delta,
-        memo=_export_memo(cache, problem),
-        elapsed_s=task_elapsed,
-    )
-
-
-def _run_guard_task(
-    benchmark_id: str,
-    config: SynthConfig,
-    positive_indices: Tuple[int, ...],
-    negative_indices: Tuple[int, ...],
-    initial_candidates: Tuple[A.Node, ...],
-) -> GuardTaskResult:
-    session, problem, state = _task_problem(benchmark_id, config)
-    cache = _fresh_cache(session, config)
-    problem.register_cache(cache)
-    stats = SearchStats()
-    budget = Budget(config.timeout_s)
-    resets_before = problem.reset_replays
-    if state is not None:
-        state.sync_query_stats()
-    state_before = state.stats.copy() if state is not None else None
-    query_before = (
-        problem.database.query_stats.copy() if problem.database is not None else None
-    )
-    guard: Optional[A.Node] = None
-    timed_out = False
-    task_started = time.perf_counter()
-    try:
-        guard = generate_guard(
-            problem,
-            [problem.specs[i] for i in positive_indices],
-            [problem.specs[i] for i in negative_indices],
-            config,
-            budget=budget,
-            stats=stats,
-            initial_candidates=list(initial_candidates),
-            cache=cache,
-            state=state,
-        )
-    except SynthesisTimeout:
-        timed_out = True
-    finally:
-        task_elapsed = time.perf_counter() - task_started
-        problem.unregister_cache(cache)
-    if state is not None:
-        state.sync_query_stats()
-    query_delta = (
-        problem.database.query_stats.since(query_before)
-        if query_before is not None
-        else None
-    )
-    return GuardTaskResult(
-        guard=guard,
-        timed_out=timed_out,
-        stats=stats,
-        cache_stats=cache.stats,
-        state_stats=state.stats.since(state_before) if state is not None else None,
-        reset_replays=problem.reset_replays - resets_before,
-        query_stats=query_delta,
-        memo=_export_memo(cache, problem),
-        elapsed_s=task_elapsed,
-    )
-
-
 def _run_cell_task(
     benchmark_id: str, config: SynthConfig, fresh: bool, runs: int = 1
 ) -> List[CellTaskResult]:
     """Run one benchmark cell ``runs`` times in this worker.
 
-    A multi-run batch is the parallel unit of ``run_benchmark`` and
-    ``bench_parallel``: keeping one benchmark's repeats on one worker lets
-    them share that worker's warm session instead of duplicating the cold
-    work across the pool.
+    A multi-run batch is the parallel unit of ``bench_parallel``: keeping
+    one benchmark's repeats on one worker lets them share that worker's
+    warm session instead of duplicating the cold work across the pool.
     """
 
     from repro.benchmarks import get_benchmark
@@ -476,11 +184,9 @@ def _run_cell_task(
                 result = cold.run(problem)
         else:
             result = _WORKER.session.run(benchmark_id, config=config)
-            problem = result.problem
         elapsed = time.perf_counter() - start
         payloads.append(
             CellTaskResult(
-                benchmark_id=benchmark_id,
                 success=result.success,
                 timed_out=result.timed_out,
                 program=result.program,
@@ -488,8 +194,6 @@ def _run_cell_task(
                 stats=result.stats,
                 cache_stats=result.cache_stats,
                 state_stats=result.state_stats,
-                specs=len(problem.specs),
-                lib_methods=problem.library_method_count(),
                 metrics=result.metrics,
                 # Drained per run, so every payload carries its own events.
                 trace_events=(
@@ -503,18 +207,44 @@ def _run_cell_task(
 
 
 # ---------------------------------------------------------------------------
-# Parent side: the executor
+# Parent side
 # ---------------------------------------------------------------------------
+
+
+def await_cell(future, config: SynthConfig, runs: int = 1) -> List[CellTaskResult]:
+    """A cell task's payloads, or one timed-out payload if the wait expires.
+
+    The wait is bounded by the cell's own synthesis budget, ``timeout_s``
+    per run, counted from now (see the module docstring).  A worker that
+    dies mid-cell never completes its future, so without the bound its
+    cell would hang the caller.
+    """
+
+    budget = Budget(
+        None if config.timeout_s is None else config.timeout_s * max(runs, 1)
+    )
+    try:
+        return future.get(budget.remaining())
+    except multiprocessing.TimeoutError:
+        return [
+            CellTaskResult(
+                success=False,
+                timed_out=True,
+                program=None,
+                elapsed_s=budget.elapsed(),
+                stats=SearchStats(timed_out=True),
+                cache_stats=None,
+                state_stats=None,
+            )
+        ]
 
 
 class ParallelExecutor:
     """A lazily-started worker pool bound to one session's resources.
 
     Forked workers inherit the parent's interpreter state (and hash seed, on
-    which candidate-enumeration order depends), which is what makes worker
-    searches bit-identical to serial ones; where ``fork`` is unavailable the
-    pool falls back to ``spawn``, which keeps results *valid* but may
-    explore in a different order.
+    which candidate-enumeration order depends), which is what makes a cell
+    run in a worker bit-identical to the same cell run serially.
     """
 
     def __init__(
@@ -554,40 +284,6 @@ class ParallelExecutor:
                 gc.unfreeze()
         return self._pool
 
-    # ------------------------------------------------------------------ submit
-
-    def submit(self, task: Tuple):
-        """Dispatch one task tuple; returns the pool's async result."""
-
-        return self._get_pool().apply_async(_worker_call, (task,))
-
-    def submit_specs(self, benchmark_id: str, config: SynthConfig, indices):
-        """One speculative search task per spec index, keyed by index."""
-
-        return {
-            index: self.submit(("spec", benchmark_id, config, index))
-            for index in indices
-        }
-
-    def submit_guard(
-        self,
-        benchmark_id: str,
-        config: SynthConfig,
-        positive_indices: Tuple[int, ...],
-        negative_indices: Tuple[int, ...],
-        initial_candidates: Tuple[A.Node, ...],
-    ):
-        return self.submit(
-            (
-                "guard",
-                benchmark_id,
-                config,
-                positive_indices,
-                negative_indices,
-                initial_candidates,
-            )
-        )
-
     def submit_cell(
         self, benchmark_id: str, config: SynthConfig, fresh: bool, runs: int = 1
     ):
@@ -597,27 +293,24 @@ class ParallelExecutor:
         run, truncated at the first failure like the serial runner).
         """
 
-        return self.submit(("cell", benchmark_id, config, fresh, runs))
+        return self._get_pool().apply_async(
+            _worker_call, ((benchmark_id, config, fresh, runs),)
+        )
 
     # ------------------------------------------------------------------ lifecycle
 
-    def close(self, wait: bool = False) -> None:
+    def close(self) -> None:
         """Shut the pool down, abandoning unconsumed tasks.
 
         Every consumed future's task has already run its store flush, so
         terminating only discards work nobody is waiting on -- e.g. the
-        speculative searches a reuse-covered spec left behind, which would
-        otherwise keep a worker busy for up to ``timeout_s`` each and block
-        this call for as long.  ``wait=True`` drains them instead.
-        (Mid-task SQLite flushes are transactions; a terminated worker
-        rolls back rather than corrupting the store.)
+        cells left queued behind a sweep that raised, or a cell whose
+        bounded wait expired.  (Mid-task SQLite flushes are transactions;
+        a terminated worker rolls back rather than corrupting the store.)
         """
 
         if self._pool is not None:
-            if wait:
-                self._pool.close()
-            else:
-                self._pool.terminate()
+            self._pool.terminate()
             self._pool.join()
             self._pool = None
 
@@ -626,180 +319,3 @@ class ParallelExecutor:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------------------
-# The parallel run loop
-# ---------------------------------------------------------------------------
-
-
-def run_synthesis_parallel(
-    problem: "SynthesisProblem",
-    config: SynthConfig,
-    cache: SynthCache,
-    state: Optional["StateManager"],
-    executor: ParallelExecutor,
-    benchmark_id: str,
-    solution_hints: Optional[dict] = None,
-) -> SynthesisResult:
-    """The parallel twin of :func:`~repro.synth.synthesizer.run_synthesis`.
-
-    Dispatches every spec's search to the pool speculatively, replays the
-    serial reuse/simplify/merge control flow in the parent, and merges the
-    used workers' counters so the result's totals match a serial run's (see
-    the module docstring for the exact equivalence contract).
-    """
-
-    budget = Budget(config.timeout_s)
-    stats = SearchStats()
-    problem.register_cache(cache)
-    if state is not None:
-        state.verify_every = config.verify_recordings
-    run = _RunCounters(problem, cache, state)
-    totals = WorkerTotals()
-    solutions: List[SpecSolution] = []
-
-    def merge_task(task: "SpecTaskResult | GuardTaskResult") -> None:
-        stats.merge(task.stats)
-        cache.stats.merge(task.cache_stats)
-        run.observe_phase("spec_search", task.elapsed_s)
-        if task.trace_events:
-            trace.TRACER.absorb(task.trace_events)
-        totals.add(task)
-        absorb_memo(cache, problem, task.memo)
-
-    def finish(result: SynthesisResult) -> SynthesisResult:
-        result = run.finish(result)
-        result.stats.state_restores += totals.state.restores
-        result.stats.state_rebuilds += totals.state.rebuilds
-        result.stats.state_pure_skips += totals.state.pure_skips
-        result.stats.reset_replays += totals.reset_replays
-        result.stats.index_hits += totals.query.index_hits
-        result.stats.index_scans += totals.query.scans
-        if totals.have_state:
-            if result.state_stats is not None:
-                result.state_stats.merge(totals.state)
-            else:
-                result.state_stats = totals.state
-        # The registry holds live references to the stats objects mutated
-        # above, so re-snapshotting folds the worker totals into the
-        # exported metrics as well.
-        if result.state_stats is not None:
-            run.registry.attach_stats("state", result.state_stats)
-        if run.query_delta is not None:
-            run.query_delta.merge(totals.query)
-        result.metrics = run.registry.snapshot()
-        return result
-
-    try:
-        # Hints are validated *before* dispatch: a spec whose previous
-        # solution still passes needs no speculative search at all, so warm
-        # repeats submit nothing (and close() never waits on discarded
-        # full-timeout searches).  Validation order differs from the serial
-        # engine's interleaved reuse-then-hint order -- and a hint whose
-        # spec ends up reuse-covered is one evaluation the serial engine
-        # skips -- but evaluation is deterministic, so while hinted-run
-        # counters can deviate by those extra lookups, the resolution
-        # decisions (and programs) are identical.  The exact-counter
-        # contract holds for unhinted (first) runs.
-        validated_hints: dict = {}
-        if solution_hints:
-            for index, spec in enumerate(problem.specs):
-                hint = _adopt_hint(
-                    problem, spec, solution_hints, config, budget,
-                    SearchStats(), cache, state,
-                )
-                if hint is not None:
-                    validated_hints[index] = hint
-        pending = executor.submit_specs(
-            benchmark_id,
-            config,
-            [
-                index
-                for index in range(len(problem.specs))
-                if index not in validated_hints
-            ],
-        )
-        stats.parallel_tasks += len(pending)
-
-        specs_started = time.perf_counter()
-        with trace.TRACER.span("phase.specs", specs=len(problem.specs)):
-            for index, spec in enumerate(problem.specs):
-                if _reuse_solution(
-                    problem, spec, solutions, config, budget, stats, cache, state
-                ):
-                    if index in pending:
-                        # The speculative search result is dropped unseen:
-                        # its work must not pollute the counters a serial
-                        # run would report.
-                        stats.parallel_discarded += 1
-                    continue
-                hint = validated_hints.get(index)
-                if hint is not None:
-                    stats.hint_reuses += 1
-                    solutions.append(SpecSolution(expr=hint, specs=(spec,)))
-                    continue
-                task = await_task(
-                    pending[index], budget, f"solving spec #{index}"
-                )
-                merge_task(task)
-                if task.timed_out:
-                    raise SynthesisTimeout(f"timeout while solving spec #{index}")
-                if task.expr is None:
-                    return finish(
-                        SynthesisResult(
-                            problem,
-                            success=False,
-                            solutions=solutions,
-                            elapsed_s=budget.elapsed(),
-                            stats=stats,
-                        )
-                    )
-                simplified = simplify(task.expr)
-                if not evaluate_spec(
-                    problem, problem.make_program(simplified), spec, cache=cache,
-                    state=state, backend=config.eval_backend,
-                ).ok:
-                    simplified = task.expr
-                solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
-        run.observe_phase("specs", time.perf_counter() - specs_started)
-
-        merge_started = time.perf_counter()
-        with trace.TRACER.span("phase.merge", solutions=len(solutions)):
-            merger = Merger(
-                problem,
-                config,
-                budget=budget,
-                stats=stats,
-                cache=cache,
-                state=state,
-                executor=executor,
-                benchmark_id=benchmark_id,
-                worker_totals=totals,
-                metrics=run,
-            )
-            program = merger.merge(solutions)
-        run.observe_phase("merge", time.perf_counter() - merge_started)
-    except SynthesisTimeout:
-        stats.timed_out = True
-        return finish(
-            SynthesisResult(
-                problem,
-                success=False,
-                solutions=solutions,
-                elapsed_s=budget.elapsed(),
-                timed_out=True,
-                stats=stats,
-            )
-        )
-
-    return finish(
-        SynthesisResult(
-            problem,
-            success=program is not None,
-            program=program,
-            solutions=solutions,
-            elapsed_s=budget.elapsed(),
-            stats=stats,
-        )
-    )

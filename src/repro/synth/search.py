@@ -78,13 +78,6 @@ class SearchStats:
     # Cross-run solution reuse (the session's solution hints): specs whose
     # search was skipped because the previous run's solution re-validated.
     hint_reuses: int = 0
-    # Parallel-subsystem counters (repro.synth.parallel): tasks dispatched
-    # to the worker pool for this run, and speculative per-spec searches
-    # whose result was discarded because solution reuse covered the spec
-    # first (their work is NOT folded into the other counters, keeping the
-    # merged totals equal to a serial run's).
-    parallel_tasks: int = 0
-    parallel_discarded: int = 0
     # Static-analysis counters (repro.analysis, behind
     # SynthConfig.static_pruning): candidate evaluations answered from the
     # normal-form outcome memo instead of the interpreter (disjoint from
@@ -100,43 +93,8 @@ class SearchStats:
     # Effect-hole expansions whose S-EffApp writer list was reordered by the
     # most-specific-first sort (repro.analysis.footprint.writers_for_effect)
     # relative to the declaration-order scan; counted per expansion, memo
-    # hit or not, so merged parallel counters equal a serial run's.
+    # hit or not.
     writer_reorders: int = 0
-
-    def merge(self, other: "SearchStats") -> None:
-        """Fold another run's (or worker's) counters into this one.
-
-        Every numeric field must be aggregated here -- a field-completeness
-        test (``tests/test_parallel.py``) fails when a counter is added to
-        the dataclass without merge support, because the parallel subsystem
-        relies on merged worker counters matching serial totals.
-        """
-
-        self.expansions += other.expansions
-        self.evaluated += other.evaluated
-        self.pushed += other.pushed
-        self.effect_wraps += other.effect_wraps
-        self.pruned_size += other.pruned_size
-        self.timed_out = self.timed_out or other.timed_out
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_redundant += other.cache_redundant
-        self.cache_evictions += other.cache_evictions
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
-        self.state_restores += other.state_restores
-        self.state_rebuilds += other.state_rebuilds
-        self.reset_replays += other.reset_replays
-        self.index_hits += other.index_hits
-        self.index_scans += other.index_scans
-        self.hint_reuses += other.hint_reuses
-        self.parallel_tasks += other.parallel_tasks
-        self.parallel_discarded += other.parallel_discarded
-        self.static_prunes += other.static_prunes
-        self.footprint_hits += other.footprint_hits
-        self.state_pure_skips += other.state_pure_skips
-        self.effect_type_fallbacks += other.effect_type_fallbacks
-        self.writer_reorders += other.writer_reorders
 
     def as_dict(self) -> dict:
         """Every counter by field name (bench reports, completeness tests)."""

@@ -108,13 +108,13 @@ class SynthesisSession:
         :class:`SpecOutcomeStore`), or an existing store to share.  The
         store is flushed on ``close``/context exit.
     parallel:
-        Default worker count for ``run``/``sweep`` (both also take a
-        per-call ``parallel=`` override).  With more than one job the
-        session owns a lazily-started
-        :class:`~repro.synth.parallel.ParallelExecutor` worker pool:
-        ``run`` fans the per-spec searches of registry-derived problems out
-        across workers, ``sweep`` distributes whole cells.  Workers open
-        the session's store themselves and share outcomes through it.
+        Default worker count for ``sweep`` (which also takes a per-call
+        ``parallel=`` override).  With more than one job the session owns
+        a lazily-started :class:`~repro.synth.parallel.ParallelExecutor`
+        worker pool that runs whole sweep cells; workers open the
+        session's store themselves and share outcomes through it.
+        ``run`` is never affected: one synthesis run always executes
+        in-process, so a session that only calls ``run`` starts no pool.
     """
 
     def __init__(
@@ -145,10 +145,6 @@ class SynthesisSession:
         #: Benchmark-id -> built problem, so repeated ``run("S1")`` /
         #: ``sweep`` calls reuse one warm problem per benchmark.
         self._built: Dict[str, SynthesisProblem] = {}
-        #: id(problem) -> registry id for problems this session built (the
-        #: reverse map that lets ``run(problem, parallel=N)`` name the
-        #: benchmark to worker processes).
-        self._benchmark_ids: Dict[int, str] = {}
         #: (id(problem), precision) -> (problem, derived copy) for the
         #: warm precision variants (strong ref keeps ids stable).
         self._derived: Dict[Tuple[int, str], Tuple[SynthesisProblem, SynthesisProblem]] = {}
@@ -169,7 +165,6 @@ class SynthesisSession:
         problem: ProblemSource,
         config: Optional[SynthConfig] = None,
         fresh_state: bool = False,
-        parallel: Optional[int] = None,
         **overrides: Any,
     ) -> SynthesisResult:
         """Synthesize ``problem`` with the session's warm resources.
@@ -186,21 +181,18 @@ class SynthesisSession:
         brand-new snapshot manager (cold state) instead of the problem's
         long-lived one.
 
-        ``parallel`` (defaulting to the session's ``parallel``) fans the
-        per-spec searches out across the session's worker pool
-        (:mod:`repro.synth.parallel`) when the problem is a registry
-        benchmark -- workers rebuild it by id -- and it has more than one
-        spec; anything else falls back to the serial engine.  So does
-        ``fresh_state=True``: workers hold long-lived warm state, which
-        would silently defeat the cold-state contract.
+        The run always executes in this process through
+        :func:`~repro.synth.synthesizer.run_synthesis`, whatever the
+        session's ``parallel`` setting: the worker pool only ever runs
+        whole ``sweep`` cells (see :mod:`repro.synth.parallel`).
         """
 
         self._check_open()
         tracer = trace.TRACER
         if not tracer.enabled:
-            return self._run_impl(problem, config, fresh_state, parallel, overrides)
+            return self._run_impl(problem, config, fresh_state, overrides)
         with tracer.span("session.run") as span:
-            result = self._run_impl(problem, config, fresh_state, parallel, overrides)
+            result = self._run_impl(problem, config, fresh_state, overrides)
             span.annotate(problem=result.problem.name, success=result.success)
             return result
 
@@ -209,7 +201,6 @@ class SynthesisSession:
         problem: ProblemSource,
         config: Optional[SynthConfig],
         fresh_state: bool,
-        parallel: Optional[int],
         overrides: Mapping[str, Any],
     ) -> SynthesisResult:
         base = config if config is not None else self.config
@@ -223,27 +214,6 @@ class SynthesisSession:
             state = self._state_for(runner, effective, fresh_state)
             self._register(runner)
             hints = self._hints_for(runner, effective)
-        jobs = self.parallel if parallel is None else max(int(parallel), 1)
-        if jobs > 1 and not fresh_state:
-            benchmark_id = (
-                benchmark.id
-                if benchmark is not None
-                else self._benchmark_ids.get(id(resolved))
-            )
-            if benchmark_id is not None and len(runner.specs) > 1:
-                from repro.synth.parallel import run_synthesis_parallel
-
-                result = run_synthesis_parallel(
-                    runner,
-                    effective,
-                    cache=self.cache,
-                    state=state,
-                    executor=self._executor_for(jobs),
-                    benchmark_id=benchmark_id,
-                    solution_hints=hints,
-                )
-                self._remember_solutions(runner, effective, result)
-                return result
         result = run_synthesis(
             runner,
             effective,
@@ -274,12 +244,16 @@ class SynthesisSession:
         the Figure 7 guidance-mode comparison requires.
 
         ``parallel`` (defaulting to the session's ``parallel``) distributes
-        whole registry cells across the session's worker pool, in
-        deterministic problem-major result order.  Warm parallel cells are
-        warm *per worker* (each worker holds a persistent session); cold
-        cells are isolated in the worker exactly as they are serially.
-        Cells whose source is an ad-hoc problem object cannot be shipped to
-        a worker and run in the parent, interleaved at their position.
+        whole registry cells across the session's worker pool
+        (:mod:`repro.synth.parallel`), in deterministic problem-major result
+        order.  Warm parallel cells are warm *per worker* (each worker holds
+        a persistent session); cold cells are isolated in the worker exactly
+        as they are serially, and report the serial cold cell's program and
+        counters.  Cells whose source is an ad-hoc problem object cannot be
+        shipped to a worker and run in the parent, interleaved at their
+        position.  The parent waits on each pooled cell no longer than the
+        cell's ``timeout_s``; a cell whose wait expires (e.g. its worker
+        died) reports ``timed_out``.
         """
 
         self._check_open()
@@ -312,13 +286,8 @@ class SynthesisSession:
         variant_config: SynthConfig,
         warm: bool,
     ) -> SweepEntry:
-        """One serial sweep cell (shared by the serial and fallback paths).
-
-        The cell runs fully serial (``parallel=1`` is forced): a
-        ``sweep(parallel=1)`` on a parallel-default session must be a true
-        serial baseline, and the parallel sweep's ad-hoc fallback cells must
-        not contend with the pool already chewing the registry cells.
-        """
+        """One in-process sweep cell (the serial path, and the parallel
+        sweep's ad-hoc cells)."""
 
         with trace.TRACER.span(
             "sweep.cell",
@@ -328,7 +297,7 @@ class SynthesisSession:
         ):
             if warm:
                 problem = self._resolve_problem(source)
-                result = self.run(problem, config=variant_config, parallel=1)
+                result = self.run(problem, config=variant_config)
             else:
                 problem = benchmark.build() if benchmark is not None else source
                 with SynthesisSession(variant_config) as cold:
@@ -351,8 +320,11 @@ class SynthesisSession:
         """Distribute sweep cells over the worker pool, order-preserving.
 
         Cell tasks run wholly inside a worker, which persists their outcomes
-        to the session's store itself.
+        to the session's store itself.  Each wait is bounded by
+        :func:`~repro.synth.parallel.await_cell`.
         """
+
+        from repro.synth.parallel import await_cell
 
         executor = self._executor_for(jobs)
         cells: List[Tuple[ProblemSource, Optional["BenchmarkSpec"], str, SynthConfig, Any]] = []
@@ -377,7 +349,7 @@ class SynthesisSession:
             with trace.TRACER.span(
                 "sweep.cell", label=benchmark.id, variant=name, warm=warm
             ):
-                payload = future.get()[0]
+                payload = await_cell(future, variant_config)[0]
                 if payload.trace_events:
                     trace.TRACER.absorb(payload.trace_events)
             problem = self._resolve_problem(source)
@@ -406,7 +378,6 @@ class SynthesisSession:
         if problem is None:
             problem = benchmark.build()
             self._built[benchmark.id] = problem
-            self._benchmark_ids[id(problem)] = benchmark.id
         return problem
 
     def _executor_for(self, jobs: int) -> "ParallelExecutor":

@@ -137,23 +137,6 @@ class StateStats:
             index_scans=self.index_scans - before.index_scans,
         )
 
-    def merge(self, other: "StateStats") -> None:
-        """Fold another manager's counters in (parallel worker aggregation).
-
-        Like ``SearchStats.merge``, every field must be aggregated -- the
-        field-completeness test in ``tests/test_parallel.py`` guards it.
-        """
-
-        self.restores += other.restores
-        self.pure_skips += other.pure_skips
-        self.rebuilds += other.rebuilds
-        self.captures += other.captures
-        self.unreplayable += other.unreplayable
-        self.invalidations += other.invalidations
-        self.verifications += other.verifications
-        self.index_hits += other.index_hits
-        self.index_scans += other.index_scans
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "restores": self.restores,

@@ -116,17 +116,6 @@ class StoreStats:
             compacted=self.compacted - before.compacted,
         )
 
-    def merge(self, other: "StoreStats") -> None:
-        """Fold another store's counters in (every field, like the other
-        stats dataclasses -- the registry completeness test enforces it)."""
-
-        self.loaded += other.loaded
-        self.stale_dropped += other.stale_dropped
-        self.corrupt_file = self.corrupt_file or other.corrupt_file
-        self.writes += other.writes
-        self.flushes += other.flushes
-        self.compacted += other.compacted
-
 
 # ---------------------------------------------------------------------------
 # Effect / outcome (de)serialization

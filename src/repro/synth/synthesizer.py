@@ -217,16 +217,8 @@ class _RunCounters:
             cache.store.stats.copy() if cache.store is not None else None
         )
         #: Per-phase wall-time observations ((phase, seconds) pairs) folded
-        #: into the result's metrics snapshot; the parallel layer observes
-        #: worker-side spec/guard durations through the same hook.
+        #: into the result's metrics snapshot.
         self.phases: List[Tuple[str, float]] = []
-        #: The registry behind ``result.metrics``; kept so the parallel
-        #: layer can re-snapshot after folding worker totals in.
-        self.registry: Optional[MetricsRegistry] = None
-        #: The run's query-planner delta (the registry's ``query`` source);
-        #: the parallel layer merges worker-side planner counters into it
-        #: before re-snapshotting.
-        self.query_delta = None
 
     def observe_phase(self, phase: str, seconds: float) -> None:
         self.phases.append((phase, seconds))
@@ -259,13 +251,10 @@ class _RunCounters:
             query_stats = self.database.query_stats.since(self.query_before)
             result.stats.index_hits = query_stats.index_hits
             result.stats.index_scans = query_stats.scans
-        self.query_delta = query_stats
 
         # Unified metrics export (repro.obs.metrics): the run's stats
         # dataclasses behind one registry snapshot, plus the per-phase
-        # wall-time histograms.  ``result.stats``/``result.state_stats``
-        # are attached live, so the parallel layer can fold worker totals
-        # in and re-snapshot through ``self.registry``.
+        # wall-time histograms.
         registry = MetricsRegistry()
         registry.attach_stats("search", result.stats)
         registry.attach_stats("cache", cache_stats)
@@ -280,7 +269,6 @@ class _RunCounters:
         for phase, seconds in self.phases:
             registry.observe_phase(phase, seconds)
         registry.observe_phase("run", result.elapsed_s)
-        self.registry = registry
         result.metrics = registry.snapshot()
         return result
 

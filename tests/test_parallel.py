@@ -1,11 +1,12 @@
 """Tests for the parallel synthesis subsystem (repro.synth.parallel):
-serial-vs-parallel equivalence (programs, outcomes and merged counters),
-sweep-cell distribution, the two-process SQLite store round-trip, cross-run
-solution hints, and the counter-merge field-completeness guards."""
+serial-vs-pooled cell equivalence (programs, counters and traces), sweep-cell
+distribution, bounded cell waits, the two-process SQLite store round-trip,
+cross-run solution hints, and fork hygiene."""
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -19,101 +20,77 @@ from repro.interp import Interpreter
 from repro.synth import SynthConfig, SynthesisSession
 from repro.synth.cache import CacheStats
 from repro.synth.search import SearchStats
-from repro.synth.state import StateStats
 
 #: Multi-spec registry benchmarks cheap enough for pooled tests.
 FAST = ["S4", "S5"]
 
-#: Counters that only the parallel run accumulates (dispatch bookkeeping,
-#: not work): excluded from the serial-equality comparison.
-PARALLEL_ONLY = {"parallel_tasks", "parallel_discarded"}
-
 
 # ---------------------------------------------------------------------------
-# Serial-vs-parallel equivalence
+# Serial-vs-pooled cell equivalence
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("benchmark_id", FAST + ["S7", "A1"])
 def test_parallel_run_synthesizes_identical_programs(benchmark_id):
+    """A warm cell run on a worker's persistent session synthesizes the
+    program an in-process run does."""
+
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config) as session:
         serial = session.run(benchmark_id)
-    with SynthesisSession(config) as session:
-        parallel = session.run(benchmark_id, parallel=2)
-    assert parallel.success == serial.success
-    assert parallel.timed_out == serial.timed_out
-    assert parallel.program == serial.program
-    assert parallel.stats.parallel_tasks > 0
+    with SynthesisSession(config, parallel=2) as session:
+        (entry,) = session.sweep([benchmark_id], warm=True)
+    assert entry.success == serial.success
+    assert entry.result.timed_out == serial.timed_out
+    assert entry.result.program == serial.program
 
 
-@pytest.mark.parametrize("benchmark_id", ["S1", "S5"])
+@pytest.mark.parametrize("benchmark_id", ["S1", "S4", "S5", "S7", "A1"])
 def test_parallel_counters_equal_serial_totals(benchmark_id):
-    """Merged worker counters must reproduce the serial run's totals.
+    """A pooled cold cell reports exactly the serial cold cell's counters.
 
-    Measured with ``snapshot_state=False``: per-process snapshot managers
-    record specs independently, so state counters are only comparable when
-    the subsystem is off and every execution pays an explicit reset.  (The
-    remaining hit/miss classification is exact on these benchmarks; specs
-    whose search re-evaluates a program the parent's reuse phase just
-    executed -- e.g. S4 -- shift one hit to a miss, totals preserved.)
+    Workers are forked (same interpreter state and hash seed) and a cold
+    cell builds its problem afresh, so the search, memo and snapshot
+    counters must all match, not just the program.
     """
 
-    config = SynthConfig(timeout_s=60, snapshot_state=False)
-    with SynthesisSession(config) as session:
-        serial = session.run(benchmark_id)
-    with SynthesisSession(config) as session:
-        parallel = session.run(benchmark_id, parallel=2)
-    serial_counts = serial.stats.as_dict()
-    parallel_counts = parallel.stats.as_dict()
-    for field in serial_counts:
-        if field in PARALLEL_ONLY:
-            continue
-        assert parallel_counts[field] == serial_counts[field], field
-    assert parallel.cache_stats.as_dict() == serial.cache_stats.as_dict()
-
-
-def test_parallel_hit_miss_totals_preserved_on_speculative_overlap():
-    """S4's speculative search re-executes one reuse evaluation: the
-    hit/miss split shifts by one but the combined totals stay equal."""
-
-    config = SynthConfig(timeout_s=60, snapshot_state=False)
-    with SynthesisSession(config) as session:
-        serial = session.run("S4")
-    with SynthesisSession(config) as session:
-        parallel = session.run("S4", parallel=2)
-    assert parallel.program == serial.program
-    assert (
-        parallel.stats.cache_hits + parallel.stats.cache_misses
-        == serial.stats.cache_hits + serial.stats.cache_misses
-    )
-    assert parallel.stats.evaluated == serial.stats.evaluated
-
-
-def test_non_registry_problem_falls_back_to_serial():
-    problem = get_benchmark("S4").build()
-    with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
-        result = session.run(problem)
-    assert result.success
-    assert result.stats.parallel_tasks == 0
-
-
-def test_fresh_state_falls_back_to_serial():
-    """Workers hold warm state, so a cold-state run must stay in-process."""
-
-    with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
-        result = session.run("S4", fresh_state=True)
-    assert result.success
-    assert result.stats.parallel_tasks == 0
-
-
-def test_run_benchmark_parallel_matches_serial():
-    benchmark = get_benchmark("S5")
     config = SynthConfig(timeout_s=60)
-    serial = run_benchmark(benchmark, config, runs=1)
-    parallel = run_benchmark(benchmark, config, runs=1, parallel=2)
-    assert parallel.success and serial.success
-    assert parallel.program_text == serial.program_text
+    with SynthesisSession(config) as session:
+        (serial,) = session.sweep([benchmark_id], warm=False)
+    with SynthesisSession(config, parallel=2) as session:
+        (pooled,) = session.sweep([benchmark_id], warm=False)
+    assert pooled.success and serial.success
+    assert pooled.result.program == serial.result.program
+    assert pooled.result.stats.as_dict() == serial.result.stats.as_dict()
+    assert (
+        pooled.result.cache_stats.as_dict() == serial.result.cache_stats.as_dict()
+    )
+    assert serial.result.state_stats is not None
+    assert (
+        pooled.result.state_stats.as_dict() == serial.result.state_stats.as_dict()
+    )
+
+
+def test_session_run_starts_no_pool():
+    """``run`` always executes in-process, whatever the session's
+    ``parallel`` setting: only sweeps use the worker pool."""
+
+    children_before = set(multiprocessing.active_children())
+    with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
+        result = session.run("S4")
+        assert session._executor is None
+        assert set(multiprocessing.active_children()) == children_before
+    assert result.success
+
+
+def test_run_benchmark_warm_parallel_raises():
+    """Warm repetitions share one session, so they cannot be pooled; asking
+    for it fails loudly instead of silently running serially."""
+
+    with pytest.raises(ValueError, match="warm_state"):
+        run_benchmark(
+            get_benchmark("S4"), SynthConfig(timeout_s=60), runs=2, parallel=2
+        )
 
 
 def test_run_benchmark_cold_parallel_distributes_runs():
@@ -140,18 +117,19 @@ _DEAD_WORKER_SCRIPT = textwrap.dedent(
 
     # Patched before the pool forks, so every worker dies on its first task.
     parallel._worker_call = die
-    with SynthesisSession(SynthConfig(timeout_s=3)) as session:
-        result = session.run("S4", parallel=2)
-    print("timed_out", result.timed_out)
+    with SynthesisSession(SynthConfig(timeout_s=3), parallel=2) as session:
+        (entry,) = session.sweep(["S4"], warm=False)
+    print("timed_out", entry.result.timed_out, "success", entry.success)
     """
 )
 
 
 def test_dead_worker_times_out_instead_of_hanging():
-    """A worker that exits mid-task never completes its pool future; the
-    parent's wait is bounded by the run's budget, so the run reports a
-    timeout instead of hanging.  Runs in a subprocess (its own session
-    group) so a hang fails the test and cannot leak workers."""
+    """A worker that exits mid-cell never completes its pool future; the
+    parent's wait on the cell is bounded by the cell's ``timeout_s``, so the
+    sweep reports a timed-out cell instead of hanging.  Runs in a subprocess
+    (its own session group) so a hang fails the test and cannot leak
+    workers."""
 
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -168,9 +146,9 @@ def test_dead_worker_times_out_instead_of_hanging():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail("parallel run hung on a dead worker past its 3 s budget")
+        pytest.fail("parallel sweep hung on a dead worker past its 3 s budget")
     assert proc.returncode == 0, err
-    assert "timed_out True" in out
+    assert "timed_out True success False" in out
 
 
 # ---------------------------------------------------------------------------
@@ -240,26 +218,6 @@ def test_two_process_sqlite_store_round_trip(tmp_path):
             assert result.program == serial.run(bid).program
         finally:
             serial.close()
-
-
-def test_parallel_run_with_store_persists_via_workers(tmp_path):
-    """Per-spec workers write the outcomes they execute to the shared store."""
-
-    path = str(tmp_path / "outcomes.sqlite")
-    config = SynthConfig(timeout_s=60)
-    with SynthesisSession(config, store=path, parallel=2) as session:
-        first = session.run("S4")
-        parent_writes = session.store.stats.writes
-    assert first.success
-    assert first.stats.parallel_tasks > 0
-
-    with SynthesisSession(config, store=path) as fresh:
-        # The parent wrote at most ``parent_writes`` distinct entries; the
-        # rest on disk came from the workers.
-        assert fresh.store.stats.loaded > parent_writes
-        second = fresh.run("S4")
-    assert second.program == first.program
-    assert second.stats.store_hits >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,51 +314,8 @@ def test_pickled_program_evaluates_identically_after_compilation(orm_class_table
 
 
 # ---------------------------------------------------------------------------
-# Counter-merge field completeness
+# Counter export completeness
 # ---------------------------------------------------------------------------
-
-
-def _completeness(stats_cls):
-    """Merging two instances must aggregate every dataclass field.
-
-    Fails when a counter is added without merge support: the unmerged field
-    keeps ``a``'s value instead of the expected combination.
-    """
-
-    fields = dataclasses.fields(stats_cls)
-    a_values = {}
-    b_values = {}
-    for index, field in enumerate(fields):
-        if field.type in ("int", int):
-            a_values[field.name] = 2 * index + 1
-            b_values[field.name] = 100 + index
-        elif field.type in ("bool", bool):
-            a_values[field.name] = False
-            b_values[field.name] = True
-        else:  # pragma: no cover - all counters are ints/bools today
-            raise AssertionError(f"unexpected counter type {field.type!r}")
-    a = stats_cls(**a_values)
-    b = stats_cls(**b_values)
-    a.merge(b)
-    for field in fields:
-        merged = getattr(a, field.name)
-        if field.type in ("bool", bool):
-            assert merged is True, f"{stats_cls.__name__}.{field.name} not merged"
-        else:
-            expected = a_values[field.name] + b_values[field.name]
-            assert merged == expected, f"{stats_cls.__name__}.{field.name} not merged"
-
-
-def test_search_stats_merge_covers_every_counter():
-    _completeness(SearchStats)
-
-
-def test_cache_stats_merge_covers_every_counter():
-    _completeness(CacheStats)
-
-
-def test_state_stats_merge_covers_every_counter():
-    _completeness(StateStats)
 
 
 def test_cache_stats_as_dict_and_since_cover_every_counter():
@@ -419,7 +334,7 @@ def test_search_stats_as_dict_covers_every_counter():
 
 
 # ---------------------------------------------------------------------------
-# Trace and metrics merge across workers
+# Trace absorption across workers
 # ---------------------------------------------------------------------------
 
 
@@ -440,24 +355,28 @@ def _span_multiset(path):
 
 
 def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
-    """A traced ``parallel=2`` run must absorb worker spans into the same
-    span set a serial run emits, and its merged metrics totals must equal
-    the serial run's (timing histograms and dispatch bookkeeping aside)."""
+    """A traced ``parallel=2`` cold sweep must absorb the workers' cell spans
+    into the same span set a serial sweep emits, and its cells must report
+    the serial cells' metrics (timing histograms aside)."""
 
     serial_path = str(tmp_path / "serial.jsonl")
     parallel_path = str(tmp_path / "parallel.jsonl")
-    config = SynthConfig(timeout_s=60, snapshot_state=False)
+    config = SynthConfig(timeout_s=60)
     with SynthesisSession(
         dataclasses.replace(config, trace_path=serial_path)
     ) as session:
-        serial = session.run("S5")
+        serial = session.sweep(FAST, warm=False)
     with SynthesisSession(
-        dataclasses.replace(config, trace_path=parallel_path)
+        dataclasses.replace(config, trace_path=parallel_path), parallel=2
     ) as session:
-        parallel = session.run("S5", parallel=2)
-    assert parallel.success and serial.success
-    assert parallel.program == serial.program
-    assert parallel.stats.parallel_tasks > 0
+        parallel = session.sweep(FAST, warm=False)
+    for serial_entry, parallel_entry in zip(serial, parallel):
+        assert parallel_entry.success and serial_entry.success
+        assert parallel_entry.result.program == serial_entry.result.program
+        assert (
+            parallel_entry.result.metrics["stats"]
+            == serial_entry.result.metrics["stats"]
+        )
     assert _span_multiset(parallel_path) == _span_multiset(serial_path)
 
     # Worker spans really crossed the process boundary: the merged trace
@@ -466,19 +385,6 @@ def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
 
     _, events = load_trace(parallel_path)
     assert len({e["worker"] for e in events}) > 1
-
-    # Merged metric totals equal the serial run's for every exported stats
-    # field (the phase histograms measure wall time, which legitimately
-    # differs; PARALLEL_ONLY counters are dispatch bookkeeping).
-    assert set(parallel.metrics["stats"]) == set(serial.metrics["stats"])
-    for prefix, fields in serial.metrics["stats"].items():
-        for name, value in fields.items():
-            if name in PARALLEL_ONLY:
-                continue
-            assert parallel.metrics["stats"][prefix][name] == value, (
-                f"{prefix}.{name}"
-            )
-    assert set(parallel.metrics["phases"]) >= set(serial.metrics["phases"])
 
 
 # ---------------------------------------------------------------------------
