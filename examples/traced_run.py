@@ -2,8 +2,9 @@
 
 Setting ``SynthConfig.trace_path`` (or the ``REPRO_TRACE`` environment
 variable) makes the session write a JSONL trace of the whole pipeline --
-phases, per-spec searches, guard synthesis, spec evaluations, snapshot
-restores and store traffic -- through :mod:`repro.obs.trace`.  Every run
+phases, per-spec searches, guard synthesis, spec evaluations and their
+memo and store lookups -- through :mod:`repro.obs.trace`, which wraps the
+engine's entry points for the session's lifetime only.  Every run
 also carries a unified metrics snapshot (:mod:`repro.obs.metrics`) on
 ``result.metrics``, and :mod:`repro.obs.tool` turns the trace into a
 per-phase profile or a Chrome trace-event file.
@@ -32,9 +33,10 @@ def main() -> None:
     trace_path = os.path.join(tempfile.mkdtemp(), "run.trace.jsonl")
     config = SynthConfig(timeout_s=60, trace_path=trace_path)
 
-    # The session owns the tracer: it is installed on entry and closed
-    # (restoring the zero-overhead disabled default) on exit.  A parallel
-    # session merges worker-side spans into the same file.
+    # The session owns the tracer: its span wrappers are installed on
+    # entry and removed on exit, leaving the engine's own functions in
+    # place.  A parallel session merges worker-side spans into the same
+    # file.
     with SynthesisSession(config) as session:
         result = session.run("A1")
     print(f"synthesized {result.problem.name}:")

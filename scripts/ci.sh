@@ -35,16 +35,22 @@
 #   evaluation operations with static pruning on, identical programs.
 # * ORM index gate (bench_orm --check): >= 5x indexed lookup throughput on a
 #   1e5-row battery plus a seeded scale synthesis smoke.
-# * observability gate (bench_obs --check): disabled tracing costs <= 2% on
-#   the hot spec-evaluation path, and traced runs produce well-formed JSONL
-#   traces whose phase spans cover >= 95% of the root span.
+# * observability gate (bench_obs --check): once a traced session closes --
+#   also after a traced run that timed out -- every traced entry point
+#   (repro.obs.trace.SPANS) is the original engine object again, traced and
+#   untraced runs synthesize identical programs, and traced runs produce
+#   well-formed JSONL traces whose phase spans cover >= 95% of the root span.
 # * end-to-end correctness (e2ebench): the paper_warm and paper_cold
 #   selfchecks each run their workload in two fresh interpreters with random
 #   hash seeds and require identical deterministic counters (paper_cold
 #   guards the enumerator's shared production-index nodes, whose memos
 #   every candidate they fill reuses); one paper_cold pass must synthesize
 #   every Table 1 goal correctly (its last output line reports
-#   "correct": true).
+#   "correct": true), and its deterministic work counters must equal the
+#   committed baseline BENCH_e2e.jsonl (run.py compare --same-code).  A
+#   change that moves counters on purpose refreshes the baseline with
+#   run.py --workload paper_cold --seed 1 --seconds 0 --trace 0
+#   --out BENCH_e2e.jsonl and says so.
 
 set -euo pipefail
 
@@ -143,7 +149,7 @@ python benchmarks/bench_orm.py \
     --min-benchmarks 3 \
     --check
 
-echo "== observability gate (disabled-tracing overhead + trace validity) =="
+echo "== observability gate (restored entry points + trace validity) =="
 OBS_REPORT="${CI_OBS_REPORT:-BENCH_obs.json}"
 python benchmarks/bench_obs.py \
     --timeout "${REPRO_BENCH_TIMEOUT:-60}" \
@@ -151,13 +157,17 @@ python benchmarks/bench_obs.py \
     --min-benchmarks 3 \
     --check
 
-echo "== e2ebench correctness (paper_warm + paper_cold selfchecks + one paper_cold pass) =="
+echo "== e2ebench correctness (paper_warm + paper_cold selfchecks + one paper_cold pass vs BENCH_e2e.jsonl) =="
 python3 e2ebench/run.py selfcheck --workload paper_warm
 python3 e2ebench/run.py selfcheck --workload paper_cold
-E2E_LAST="$(python3 e2ebench/run.py --workload paper_cold --seed 1 --seconds 0 --trace 0 | tail -n 1)"
+E2E_OUT="$(mktemp)"
+trap 'rm -f "$E2E_OUT"' EXIT
+E2E_LAST="$(python3 e2ebench/run.py --workload paper_cold --seed 1 --seconds 0 --trace 0 \
+    --out "$E2E_OUT" | tail -n 1)"
 if ! grep -q '"correct": true' <<< "$E2E_LAST"; then
     echo "e2ebench paper_cold pass not correct: $E2E_LAST" >&2
     exit 1
 fi
+python3 e2ebench/run.py compare BENCH_e2e.jsonl "$E2E_OUT" --same-code
 
 echo "== ok: reports at $INTERP_REPORT, $REPORT, $STATE_REPORT, $STORE_REPORT, $PARALLEL_REPORT, $ANALYSIS_REPORT, $ORM_REPORT and $OBS_REPORT =="

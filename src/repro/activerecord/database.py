@@ -64,7 +64,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, fields as _dataclass_fields
 
-from repro.obs import trace
 from typing import (
     Any,
     Callable,
@@ -198,23 +197,6 @@ class QueryStats:
         else:
             self.index_hits += 1
         self.rows_examined += plan.rows_examined
-        if trace.TRACER.enabled:
-            # Every 64th plan (queries are the hottest events in the whole
-            # engine): a sampled plan-kind timeline with the cumulative
-            # counters, enough to reconstruct hit ratios over time without
-            # an event per query.
-            total = self.index_hits + self.scans + self.shortcuts
-            if total % 64 == 0:
-                trace.TRACER.event(
-                    "orm.query",
-                    kind=plan.kind,
-                    table=plan.table,
-                    index_column=plan.index_column,
-                    index_hits=self.index_hits,
-                    scans=self.scans,
-                    shortcuts=self.shortcuts,
-                    rows_examined=self.rows_examined,
-                )
 
     def copy(self) -> "QueryStats":
         return QueryStats(**{f.name: getattr(self, f.name) for f in _dataclass_fields(self)})

@@ -19,7 +19,6 @@ cells, and ``--store`` to persist spec outcomes across sweep processes.
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -89,9 +88,7 @@ def run_figure8(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--timeout", type=float, default=float(os.environ.get("REPRO_TIMEOUT", 20.0))
-    )
+    parser.add_argument("--timeout", type=float, default=20.0)
     parser.add_argument("--only", nargs="*", help="benchmark ids to run")
     parser.add_argument(
         "--cold",
@@ -106,7 +103,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", 1)),
+        default=1,
         help="worker processes for the (benchmark, precision) cells",
     )
     args = parser.parse_args(argv)

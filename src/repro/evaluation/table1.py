@@ -12,15 +12,14 @@ snapshot manager of :mod:`repro.synth.state` turned into copy-on-write
 database restores.
 
 The paper uses 11 runs and a 300 s timeout on a 2016 MacBook Pro; the
-defaults here are smaller (3 runs, 30 s timeout) so a full sweep stays cheap,
-and both knobs are exposed on the command line and via environment variables
-(``REPRO_RUNS``, ``REPRO_TIMEOUT``, ``REPRO_MODE_TIMEOUT``).
+defaults here are smaller (3 runs, 30 s timeout; 20 s for the mode columns)
+so a full sweep stays cheap; ``--runs``, ``--timeout`` and ``--mode-timeout``
+set them.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -212,15 +211,9 @@ def run_table1(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=int(os.environ.get("REPRO_RUNS", 3)))
-    parser.add_argument(
-        "--timeout", type=float, default=float(os.environ.get("REPRO_TIMEOUT", 30.0))
-    )
-    parser.add_argument(
-        "--mode-timeout",
-        type=float,
-        default=float(os.environ.get("REPRO_MODE_TIMEOUT", 20.0)),
-    )
+    parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--timeout", type=float, default=30.0)
+    parser.add_argument("--mode-timeout", type=float, default=20.0)
     parser.add_argument(
         "--all-modes",
         action="store_true",
@@ -230,7 +223,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", 1)),
+        default=1,
         help="worker processes for the timing repetitions and mode sweeps",
     )
     args = parser.parse_args(argv)

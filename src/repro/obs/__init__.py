@@ -4,9 +4,10 @@
 engine reports itself through:
 
 - :mod:`repro.obs.trace` -- a span-based tracer (monotonic timestamps,
-  span/parent ids, JSONL sink) instrumented through the whole pipeline.
-  Default-off: every instrumentation site guards on a single attribute
-  check against a no-op tracer, so the disabled path costs one branch.
+  span/parent ids, JSONL sink) applied from the outside: a table maps each
+  span to an engine entry point, and a traced session wraps those entry
+  points for its lifetime only.  The engine holds no tracing code, so
+  untraced runs execute exactly the engine's own functions.
 - :mod:`repro.obs.metrics` -- a registry of counters/gauges/histograms
   that wraps the engine's existing stats dataclasses behind one
   ``snapshot()`` export path, plus per-phase wall-time histograms.

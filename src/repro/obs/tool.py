@@ -128,13 +128,21 @@ def hit_ratio_timeline(events: List[dict], buckets: int = 10) -> List[dict]:
     ``buckets`` equal windows and reports, per window, how many
     evaluations were answered by the in-memory memo, the persistent
     store, or actually executed -- the cache/store hit ratio over time.
+    An evaluation's source is its ``cache.lookup`` child's ``hit``: a hit
+    whose own ``store.lookup`` child hit came from the store.
     """
 
-    evals = [
-        s for s in _spans(events) if s["name"] in ("eval.spec", "eval.guard")
-    ]
+    spans = _spans(events)
+    evals = [s for s in spans if s["name"] in ("eval.spec", "eval.guard")]
     if not evals:
         return []
+    parents = {s["id"]: s.get("parent") for s in spans}
+    source: Dict[str, str] = {}
+    for span in spans:
+        if span["name"] == "cache.lookup" and span["attrs"].get("hit"):
+            source.setdefault(span.get("parent"), "memo")
+        elif span["name"] == "store.lookup" and span["attrs"].get("hit"):
+            source[parents.get(span.get("parent"))] = "store"
     start = min(s["ts"] for s in evals)
     end = max(s["ts"] for s in evals)
     width = max((end - start) // buckets + 1, 1)
@@ -144,9 +152,7 @@ def hit_ratio_timeline(events: List[dict], buckets: int = 10) -> List[dict]:
     ]
     for span in evals:
         index = min((span["ts"] - start) // width, buckets - 1)
-        src = span["attrs"].get("src", "exec")
-        entry = timeline[index]
-        entry[src if src in ("memo", "store") else "exec"] += 1
+        timeline[index][source.get(span["id"], "exec")] += 1
     for entry in timeline:
         total = entry["memo"] + entry["store"] + entry["exec"]
         entry["hit_ratio"] = (entry["memo"] + entry["store"]) / total if total else 0.0

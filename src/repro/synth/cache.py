@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang.resolve import alpha_key
-from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.config import SynthConfig
@@ -209,8 +208,6 @@ class SynthCache:
                 if outcome is not None:
                     self.stats.store_hits += 1
                     self._put(key, outcome)
-                    if trace.TRACER.enabled:
-                        trace.TRACER.annotate(src="store")
                     return outcome
                 self.stats.store_misses += 1
             self.stats.spec_misses += 1
@@ -219,8 +216,6 @@ class SynthCache:
             self.stats.spec_redundant += 1
             return None
         self.stats.spec_hits += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.annotate(src="memo")
         return entry
 
     def store_spec(
@@ -261,8 +256,6 @@ class SynthCache:
                 if truth is not STORE_MISS:
                     self.stats.store_hits += 1
                     self._put(key, truth)
-                    if trace.TRACER.enabled:
-                        trace.TRACER.annotate(src="store")
                     return truth
                 self.stats.store_misses += 1
             self.stats.guard_misses += 1
@@ -271,8 +264,6 @@ class SynthCache:
             self.stats.guard_redundant += 1
             return _MISSING
         self.stats.guard_hits += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.annotate(src="memo")
         return entry
 
     def store_guard(

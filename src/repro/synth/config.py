@@ -128,11 +128,11 @@ class SynthConfig:
     eval_backend: str = field(default_factory=default_backend_name)
 
     # Structured tracing (repro.obs.trace).  When set, a SynthesisSession
-    # built from this config installs a JSONL tracer writing to this path
-    # for its lifetime (closed by session.close()); parallel workers ship
-    # their events back to the parent, tagged by worker id.  ``None`` (the
-    # default) keeps the no-op tracer: every instrumentation site then
-    # costs a single attribute check.  The process default honors the
+    # built from this config starts a JSONL tracer writing to this path and
+    # installs its span wrappers for its lifetime (removed by
+    # session.close()); parallel workers ship their spans back to the
+    # parent, tagged by worker id.  ``None`` (the default) leaves the
+    # engine's own functions in place.  The process default honors the
     # ``REPRO_TRACE`` environment variable.
     trace_path: Optional[str] = field(default_factory=default_trace_path)
 

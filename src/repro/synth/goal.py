@@ -37,7 +37,6 @@ from repro.lang.values import truthy, type_of_value
 from repro.interp.effect_log import effect_capture
 from repro.interp.errors import AssertionFailure, SynRuntimeError
 from repro.interp.interpreter import Interpreter
-from repro.obs import trace
 from repro.synth.state import NondeterministicSetupError
 from repro.typesys.class_table import ClassTable
 from repro.typesys.sigparser import parse_method_sig
@@ -405,53 +404,6 @@ def evaluate_spec(
     must observe a real execution.
     """
 
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _evaluate_spec_impl(
-            problem,
-            program,
-            spec,
-            cache,
-            state,
-            interpreter,
-            backend,
-            static_write_pure,
-            capture_invoke,
-        )
-    with tracer.span("eval.spec", spec=spec.name):
-        outcome = _evaluate_spec_impl(
-            problem,
-            program,
-            spec,
-            cache,
-            state,
-            interpreter,
-            backend,
-            static_write_pure,
-            capture_invoke,
-        )
-        tracer.annotate(ok=outcome.ok, passed=outcome.passed_asserts)
-        return outcome
-
-
-def _evaluate_spec_impl(
-    problem: SynthesisProblem,
-    program: A.MethodDef,
-    spec: Spec,
-    cache: Optional["SynthCache"] = None,
-    state: Optional["StateManager"] = None,
-    interpreter: Optional[Interpreter] = None,
-    backend: Optional[str] = None,
-    static_write_pure: bool = False,
-    capture_invoke: bool = False,
-) -> SpecOutcome:
-    """The untraced body of :func:`evaluate_spec`.
-
-    Kept separate so the tracing-disabled path costs exactly one attribute
-    check, and so ``benchmarks/bench_obs.py`` can time this pre-obs
-    baseline directly against the wrapper.
-    """
-
     if cache is not None and not capture_invoke:
         memoized = cache.lookup_spec(problem, program, spec)
         if memoized is not None:
@@ -593,32 +545,6 @@ def evaluate_guard(
     crashing guard) independent of ``expect``, so one execution answers
     both the positive and the negated question.
     """
-
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _evaluate_guard_impl(
-            problem, guard, spec, expect, cache, state, backend, static_write_pure
-        )
-    with tracer.span("eval.guard", spec=spec.name, expect=expect):
-        accepted = _evaluate_guard_impl(
-            problem, guard, spec, expect, cache, state, backend, static_write_pure
-        )
-        tracer.annotate(accepted=accepted)
-        return accepted
-
-
-def _evaluate_guard_impl(
-    problem: SynthesisProblem,
-    guard: A.Node,
-    spec: Spec,
-    expect: bool,
-    cache: Optional["SynthCache"] = None,
-    state: Optional["StateManager"] = None,
-    backend: Optional[str] = None,
-    static_write_pure: bool = False,
-) -> bool:
-    """The untraced body of :func:`evaluate_guard` (see
-    :func:`_evaluate_spec_impl` for why the split exists)."""
 
     program = problem.make_program(guard)
     if cache is not None:

@@ -131,7 +131,8 @@ class _WorkerState:
 def _worker_init(base_config: SynthConfig, store_path: Optional[str]) -> None:
     global _WORKER
     # A forked worker inherits the parent's live tracer object, including
-    # its open file handle; drop it (without closing the parent's file).
+    # its open file handle, and its installed span wrappers; drop both
+    # (without closing the parent's file).
     trace.reset_after_fork()
     _WORKER = _WorkerState(base_config, store_path)
 
@@ -140,9 +141,10 @@ def _worker_call(task: Tuple) -> List["CellTaskResult"]:
     """Run one cell task inside the pool; flushes the store afterwards.
 
     When the task's config carries a ``trace_path`` the parent is tracing:
-    the worker collects the cell's events in memory (tagged with a
-    per-process worker id) and ships them back on the cell's payloads for
-    the parent to absorb into its trace.
+    the worker collects the cell's spans in memory (tagged with a
+    per-process worker id), with the span wrappers installed for the cell
+    only, and ships them back on the cell's payloads for the parent to
+    absorb into its trace.
     """
 
     collecting = task[1].trace_path is not None
@@ -152,7 +154,7 @@ def _worker_call(task: Tuple) -> List["CellTaskResult"]:
         return _run_cell_task(*task)
     finally:
         if collecting:
-            trace.reset_after_fork()
+            trace.disable()
         store = _WORKER.session.store if _WORKER is not None else None
         if store is not None:
             store.flush()
@@ -197,7 +199,7 @@ def _run_cell_task(
                 metrics=result.metrics,
                 # Drained per run, so every payload carries its own events.
                 trace_events=(
-                    trace.TRACER.export() if trace.TRACER.enabled else []
+                    trace.TRACER.export() if trace.TRACER is not None else []
                 ),
             )
         )

@@ -24,7 +24,6 @@ from repro.lang import ast as A
 from repro.lang import types as T
 from repro.analysis.footprint import footprint
 from repro.analysis.prune import StaticPruner
-from repro.obs import trace
 from repro.synth.cache import SynthCache
 from repro.synth.config import ORDER_FIFO, ORDER_PAPER, ORDER_SIZE, SynthConfig
 from repro.synth.effect_guided import expand_effect_hole, insert_effect_hole
@@ -177,29 +176,6 @@ def generate_for_spec(
     budget expires.
     """
 
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _generate_for_spec_impl(
-            problem, spec, config, budget, stats, root, cache, state
-        )
-    with tracer.span("search.spec", spec=spec.name) as span:
-        result = _generate_for_spec_impl(
-            problem, spec, config, budget, stats, root, cache, state
-        )
-        span.annotate(found=result is not None)
-        return result
-
-
-def _generate_for_spec_impl(
-    problem: SynthesisProblem,
-    spec: Spec,
-    config: SynthConfig,
-    budget: Optional[Budget] = None,
-    stats: Optional[SearchStats] = None,
-    root: Optional[A.Node] = None,
-    cache: Optional[SynthCache] = None,
-    state: Optional["StateManager"] = None,
-) -> Optional[A.Node]:
     budget = budget or Budget(config.timeout_s)
     stats = stats if stats is not None else SearchStats()
     cache = cache if cache is not None else SynthCache.from_config(config)
@@ -222,16 +198,6 @@ def _generate_for_spec_impl(
 
         passed, expr = worklist.pop()
         stats.expansions += 1
-        if trace.TRACER.enabled and stats.expansions % 64 == 0:
-            # Cumulative counters every 64 expansions: a cheap progress
-            # timeline of the enumeration without a span per pop.
-            trace.TRACER.event(
-                "search.batch",
-                expansions=stats.expansions,
-                evaluated=stats.evaluated,
-                pushed=stats.pushed,
-                queue=len(worklist),
-            )
         for candidate in _expand(expr, problem, config, stats):
             if budget.expired():
                 stats.timed_out = True
@@ -313,48 +279,6 @@ def generate_guard(
     the reuse optimizations of Section 4.
     """
 
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _generate_guard_impl(
-            problem,
-            positive_specs,
-            negative_specs,
-            config,
-            budget,
-            stats,
-            initial_candidates,
-            cache,
-            state,
-        )
-    with tracer.span(
-        "search.guard", positive=len(positive_specs), negative=len(negative_specs)
-    ) as span:
-        result = _generate_guard_impl(
-            problem,
-            positive_specs,
-            negative_specs,
-            config,
-            budget,
-            stats,
-            initial_candidates,
-            cache,
-            state,
-        )
-        span.annotate(found=result is not None)
-        return result
-
-
-def _generate_guard_impl(
-    problem: SynthesisProblem,
-    positive_specs: Sequence[Spec],
-    negative_specs: Sequence[Spec],
-    config: SynthConfig,
-    budget: Optional[Budget] = None,
-    stats: Optional[SearchStats] = None,
-    initial_candidates: Sequence[A.Node] = (),
-    cache: Optional[SynthCache] = None,
-    state: Optional["StateManager"] = None,
-) -> Optional[A.Node]:
     budget = budget or Budget(config.timeout_s)
     stats = stats if stats is not None else SearchStats()
     cache = cache if cache is not None else SynthCache.from_config(config)

@@ -61,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import os
 
     from repro.benchmarks.registry import BenchmarkSpec
-    from repro.synth.parallel import ParallelExecutor
+    from repro.synth.parallel import CellTaskResult, ParallelExecutor
     from repro.synth.state import StateManager
 
 #: What ``run``/``sweep`` accept as a problem source: a built problem, a
@@ -124,15 +124,6 @@ class SynthesisSession:
         parallel: int = 1,
     ) -> None:
         self.config = config or SynthConfig()
-        #: Tracer lifecycle: the first session whose config carries a
-        #: ``trace_path`` (explicit or via ``REPRO_TRACE``) owns the global
-        #: tracer and closes it on ``close``.  If a tracer is already live
-        #: (an outer session, or a worker's collecting tracer) this session
-        #: nests inside it instead of clobbering its sink.
-        self._owns_tracer = False
-        if self.config.trace_path and not trace.TRACER.enabled:
-            trace.enable(self.config.trace_path)
-            self._owns_tracer = True
         self.store = SpecOutcomeStore.open(store)
         self.cache = SynthCache.from_config(self.config)
         self.cache.store = self.store
@@ -157,6 +148,16 @@ class SynthesisSession:
         #: programs.  (``_registered`` holds strong problem refs, keeping
         #: the ids stable.)
         self._solution_hints: Dict[Tuple[int, SynthConfig], Dict[Any, Any]] = {}
+        #: Tracer lifecycle, set up last so a failing constructor leaves no
+        #: tracer behind: the first session whose config carries a
+        #: ``trace_path`` (explicit or via ``REPRO_TRACE``) starts the
+        #: process tracer and its wrappers (:mod:`repro.obs.trace`) and
+        #: stops them on ``close``.  If a tracer is already live (an outer
+        #: session, or a worker's collecting tracer) ``enable`` returns
+        #: ``None`` and this session's spans nest into that tracer.
+        self._tracer = (
+            trace.enable(self.config.trace_path) if self.config.trace_path else None
+        )
 
     # ------------------------------------------------------------------ running
 
@@ -188,32 +189,9 @@ class SynthesisSession:
         """
 
         self._check_open()
-        tracer = trace.TRACER
-        if not tracer.enabled:
-            return self._run_impl(problem, config, fresh_state, overrides)
-        with tracer.span("session.run") as span:
-            result = self._run_impl(problem, config, fresh_state, overrides)
-            span.annotate(problem=result.problem.name, success=result.success)
-            return result
-
-    def _run_impl(
-        self,
-        problem: ProblemSource,
-        config: Optional[SynthConfig],
-        fresh_state: bool,
-        overrides: Mapping[str, Any],
-    ) -> SynthesisResult:
         base = config if config is not None else self.config
         effective = replace(base, **overrides) if overrides else base
-        with trace.TRACER.span("phase.setup"):
-            benchmark = self._as_benchmark(problem)
-            if benchmark is not None:
-                effective = benchmark.make_config(effective)
-            resolved = self._resolve_problem(problem)
-            runner = self._at_precision(resolved, effective.effect_precision)
-            state = self._state_for(runner, effective, fresh_state)
-            self._register(runner)
-            hints = self._hints_for(runner, effective)
+        runner, effective, state, hints = self._setup(problem, effective, fresh_state)
         result = run_synthesis(
             runner,
             effective,
@@ -223,6 +201,23 @@ class SynthesisSession:
         )
         self._remember_solutions(runner, effective, result)
         return result
+
+    def _setup(
+        self, problem: ProblemSource, effective: SynthConfig, fresh_state: bool
+    ) -> Tuple[
+        SynthesisProblem, SynthConfig, Optional["StateManager"], Optional[Dict[Any, Any]]
+    ]:
+        """A run's problem at its precision, its config, snapshot manager
+        and solution hints."""
+
+        benchmark = self._as_benchmark(problem)
+        if benchmark is not None:
+            effective = benchmark.make_config(effective)
+        resolved = self._resolve_problem(problem)
+        runner = self._at_precision(resolved, effective.effect_precision)
+        state = self._state_for(runner, effective, fresh_state)
+        self._register(runner)
+        return runner, effective, state, self._hints_for(runner, effective)
 
     def sweep(
         self,
@@ -260,23 +255,17 @@ class SynthesisSession:
         sources = self._resolve_sources(problems)
         named_variants = self._normalize_variants(variants)
         jobs = self.parallel if parallel is None else max(int(parallel), 1)
-        with trace.TRACER.span(
-            "session.sweep",
-            problems=len(sources),
-            variants=len(named_variants),
-            warm=warm,
-        ):
-            if jobs > 1:
-                return self._sweep_parallel(sources, named_variants, warm, jobs)
-            entries: List[SweepEntry] = []
-            for source in sources:
-                benchmark = self._as_benchmark(source)
-                for name, spec in named_variants:
-                    variant_config = self._variant_config(spec, benchmark)
-                    entries.append(
-                        self._run_cell(source, benchmark, name, variant_config, warm)
-                    )
-            return entries
+        if jobs > 1:
+            return self._sweep_parallel(sources, named_variants, warm, jobs)
+        entries: List[SweepEntry] = []
+        for source in sources:
+            benchmark = self._as_benchmark(source)
+            for name, spec in named_variants:
+                variant_config = self._variant_config(spec, benchmark)
+                entries.append(
+                    self._run_cell(source, benchmark, name, variant_config, warm)
+                )
+        return entries
 
     def _run_cell(
         self,
@@ -289,19 +278,13 @@ class SynthesisSession:
         """One in-process sweep cell (the serial path, and the parallel
         sweep's ad-hoc cells)."""
 
-        with trace.TRACER.span(
-            "sweep.cell",
-            label=benchmark.id if benchmark is not None else "<ad-hoc>",
-            variant=variant,
-            warm=warm,
-        ):
-            if warm:
-                problem = self._resolve_problem(source)
-                result = self.run(problem, config=variant_config)
-            else:
-                problem = benchmark.build() if benchmark is not None else source
-                with SynthesisSession(variant_config) as cold:
-                    result = cold.run(problem, fresh_state=benchmark is None)
+        if warm:
+            problem = self._resolve_problem(source)
+            result = self.run(problem, config=variant_config)
+        else:
+            problem = benchmark.build() if benchmark is not None else source
+            with SynthesisSession(variant_config) as cold:
+                result = cold.run(problem, fresh_state=benchmark is None)
         return SweepEntry(
             label=benchmark.id if benchmark is not None else problem.name,
             variant=variant,
@@ -324,8 +307,6 @@ class SynthesisSession:
         :func:`~repro.synth.parallel.await_cell`.
         """
 
-        from repro.synth.parallel import await_cell
-
         executor = self._executor_for(jobs)
         cells: List[Tuple[ProblemSource, Optional["BenchmarkSpec"], str, SynthConfig, Any]] = []
         for source in sources:
@@ -346,12 +327,7 @@ class SynthesisSession:
                     self._run_cell(source, benchmark, name, variant_config, warm)
                 )
                 continue
-            with trace.TRACER.span(
-                "sweep.cell", label=benchmark.id, variant=name, warm=warm
-            ):
-                payload = await_cell(future, variant_config)[0]
-                if payload.trace_events:
-                    trace.TRACER.absorb(payload.trace_events)
+            payload = _collect_cell(benchmark, name, variant_config, warm, future)
             problem = self._resolve_problem(source)
             result = payload.to_result(problem)
             entries.append(
@@ -425,17 +401,19 @@ class SynthesisSession:
 
         if self._closed:
             return
-        for problem in self._registered:
-            problem.unregister_cache(self.cache)
-        self._registered.clear()
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-        if self.store is not None:
-            self.store.flush()
-        if self._owns_tracer:
-            trace.disable()
-            self._owns_tracer = False
+        try:
+            for problem in self._registered:
+                problem.unregister_cache(self.cache)
+            self._registered.clear()
+            if self._executor is not None:
+                self._executor.close()
+                self._executor = None
+            if self.store is not None:
+                self.store.flush()
+        finally:
+            if self._tracer is not None:
+                self._tracer = None
+                trace.disable()
         self._closed = True
 
     def __enter__(self) -> "SynthesisSession":
@@ -596,3 +574,21 @@ class SynthesisSession:
         if all(problem is not seen for seen in self._registered):
             problem.register_cache(self.cache)
             self._registered.append(problem)
+
+
+def _collect_cell(
+    benchmark: "BenchmarkSpec",
+    variant: str,
+    variant_config: SynthConfig,
+    warm: bool,
+    future: Any,
+) -> "CellTaskResult":
+    """A pooled sweep cell's payload; a traced cell's worker spans are
+    merged into this process's trace."""
+
+    from repro.synth.parallel import await_cell
+
+    payload = await_cell(future, variant_config)[0]
+    if payload.trace_events:
+        trace.TRACER.absorb(payload.trace_events)
+    return payload

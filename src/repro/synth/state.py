@@ -65,7 +65,6 @@ import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
 
-from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.activerecord.database import Database
@@ -349,18 +348,8 @@ class StateManager:
                 count = self._replay_counts.get(spec, 0) + 1
                 self._replay_counts[spec] = count
                 if count % self.verify_every == 0:
-                    if trace.TRACER.enabled:
-                        trace.TRACER.event(
-                            "state.restore", kind="verify", spec=spec.name
-                        )
                     return self._verification_pass(problem, spec, recording)
             self.stats.restores += 1
-            if trace.TRACER.enabled:
-                trace.TRACER.event(
-                    "state.restore",
-                    kind="pure_skip" if clean is spec else "replay",
-                    spec=spec.name,
-                )
             if clean is spec:
                 # The previous evaluation of this very spec replayed from
                 # the same snapshot and provably wrote nothing (static
@@ -386,8 +375,6 @@ class StateManager:
             return replay
 
         self.stats.rebuilds += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.event("state.restore", kind="rebuild", spec=spec.name)
         self.restore_baseline(problem)
         if spec in self._unreplayable:
             return spec.setup

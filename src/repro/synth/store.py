@@ -62,7 +62,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.interp.errors import AssertionFailure, SynRuntimeError
 from repro.lang.effects import Effect, EffectPair, Region
-from repro.obs import trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lang import ast as A
@@ -412,8 +411,6 @@ class SpecOutcomeStore:
         """The persisted outcome for ``(program, spec)``, or ``None``."""
 
         entry = self._raw_get(self._key("spec", problem, program, spec))
-        if trace.TRACER.enabled:
-            trace.TRACER.event("store.lookup", kind="spec", hit=entry is not None)
         if entry is None:
             return None
         try:
@@ -445,8 +442,6 @@ class SpecOutcomeStore:
         crashing guard), or the module sentinel :data:`STORE_MISS`."""
 
         entry = self._raw_get(self._key("guard", problem, program, spec))
-        if trace.TRACER.enabled:
-            trace.TRACER.event("store.lookup", kind="guard", hit=entry is not None)
         if entry is None:
             return STORE_MISS
         truth = entry.get("truth", STORE_MISS)
@@ -668,8 +663,6 @@ class SpecOutcomeStore:
         self._touched.clear()
         self._dirty = False
         self.stats.flushes += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.event("store.flush", entries=len(self))
 
     def compact(self, max_entries: int) -> int:
         """LRU-style pruning: keep the ``max_entries`` most recently hit.

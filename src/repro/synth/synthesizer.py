@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
 from repro.lang import ast as A
-from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.synth.cache import CacheStats, SynthCache
 from repro.synth.config import SynthConfig
@@ -121,51 +120,27 @@ def run_synthesis(
 
     try:
         specs_started = time.perf_counter()
-        with trace.TRACER.span("phase.specs", specs=len(problem.specs)):
-            for spec in problem.specs:
-                if _reuse_solution(
-                    problem, spec, solutions, config, budget, stats, cache, state
-                ):
-                    continue
-                hint = _adopt_hint(
-                    problem, spec, solution_hints, config, budget, stats, cache,
-                    state,
+        if not _solve_specs(
+            problem, config, budget, stats, cache, state, solution_hints, run,
+            solutions,
+        ):
+            return run.finish(
+                SynthesisResult(
+                    problem,
+                    success=False,
+                    solutions=solutions,
+                    elapsed_s=budget.elapsed(),
+                    stats=stats,
                 )
-                if hint is not None:
-                    solutions.append(SpecSolution(expr=hint, specs=(spec,)))
-                    continue
-                spec_started = time.perf_counter()
-                expr = generate_for_spec(
-                    problem, spec, config, budget=budget, stats=stats, cache=cache,
-                    state=state,
-                )
-                run.observe_phase("spec_search", time.perf_counter() - spec_started)
-                if expr is None:
-                    return run.finish(
-                        SynthesisResult(
-                            problem,
-                            success=False,
-                            solutions=solutions,
-                            elapsed_s=budget.elapsed(),
-                            stats=stats,
-                        )
-                    )
-                simplified = simplify(expr)
-                if not evaluate_spec(
-                    problem, problem.make_program(simplified), spec, cache=cache,
-                    state=state, backend=config.eval_backend,
-                ).ok:
-                    simplified = expr
-                solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
+            )
         run.observe_phase("specs", time.perf_counter() - specs_started)
 
         merge_started = time.perf_counter()
-        with trace.TRACER.span("phase.merge", solutions=len(solutions)):
-            merger = Merger(
-                problem, config, budget=budget, stats=stats, cache=cache,
-                state=state, metrics=run,
-            )
-            program = merger.merge(solutions)
+        merger = Merger(
+            problem, config, budget=budget, stats=stats, cache=cache,
+            state=state, metrics=run,
+        )
+        program = merger.merge(solutions)
         run.observe_phase("merge", time.perf_counter() - merge_started)
     except SynthesisTimeout:
         return run.finish(
@@ -189,6 +164,49 @@ def run_synthesis(
             stats=stats,
         )
     )
+
+
+def _solve_specs(
+    problem: SynthesisProblem,
+    config: SynthConfig,
+    budget: Budget,
+    stats: SearchStats,
+    cache: SynthCache,
+    state: Optional[StateManager],
+    solution_hints: Optional[Mapping],
+    run: "_RunCounters",
+    solutions: List[SpecSolution],
+) -> bool:
+    """Solve every spec into ``solutions`` (reuse, hint, else search);
+    ``False`` when a search exhausts its space or candidate budget."""
+
+    for spec in problem.specs:
+        if _reuse_solution(
+            problem, spec, solutions, config, budget, stats, cache, state
+        ):
+            continue
+        hint = _adopt_hint(
+            problem, spec, solution_hints, config, budget, stats, cache, state,
+        )
+        if hint is not None:
+            solutions.append(SpecSolution(expr=hint, specs=(spec,)))
+            continue
+        spec_started = time.perf_counter()
+        expr = generate_for_spec(
+            problem, spec, config, budget=budget, stats=stats, cache=cache,
+            state=state,
+        )
+        run.observe_phase("spec_search", time.perf_counter() - spec_started)
+        if expr is None:
+            return False
+        simplified = simplify(expr)
+        if not evaluate_spec(
+            problem, problem.make_program(simplified), spec, cache=cache,
+            state=state, backend=config.eval_backend,
+        ).ok:
+            simplified = expr
+        solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
+    return True
 
 
 class _RunCounters:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
 
 import pytest
 
@@ -36,39 +37,29 @@ def _restore_tracer():
 # ---------------------------------------------------------------------------
 
 
-def test_tracer_is_disabled_by_default():
-    assert trace.TRACER is trace.NULL
-    assert trace.TRACER.enabled is False
-    # The null tracer supports the full instrumentation surface inertly.
-    with trace.TRACER.span("anything", attr=1) as span:
-        span.annotate(more=2)
-    trace.TRACER.event("instant")
-    trace.TRACER.annotate(ok=True)
-    assert trace.TRACER.export() == []
-
-
-def test_enable_writes_schema_versioned_header_first(tmp_path):
+def test_enable_writes_schema_versioned_header_then_complete_spans(tmp_path):
     path = str(tmp_path / "run.jsonl")
     tracer = trace.enable(path)
-    assert trace.TRACER is tracer and tracer.enabled
-    with tracer.span("outer", label="o"):
-        with tracer.span("inner") as inner:
-            inner.annotate(deep=True)
-            tracer.event("tick", n=1)
+    assert trace.TRACER is tracer
+    # A second tracer never clobbers the live one: callers nest instead.
+    assert trace.enable(str(tmp_path / "other.jsonl")) is None
+    outer = tracer.begin("outer", label="o")
+    inner = tracer.begin("inner", deep=True)
+    tracer.finish(inner)
+    tracer.finish(outer)
     trace.disable()
     assert trace.TRACER is trace.NULL
+    assert not (tmp_path / "other.jsonl").exists()
 
     lines = [json.loads(line) for line in open(path)]
     assert lines[0]["kind"] == "header"
     assert lines[0]["schema"] == trace.TRACE_SCHEMA_VERSION
-    by_name = {e["name"]: e for e in lines[1:]}
-    outer, inner, tick = by_name["outer"], by_name["inner"], by_name["tick"]
     # Spans are written complete at exit, so inner precedes outer.
-    assert [e["name"] for e in lines[1:]] == ["tick", "inner", "outer"]
+    assert [e["name"] for e in lines[1:]] == ["inner", "outer"]
+    inner, outer = lines[1:]
     assert outer["kind"] == inner["kind"] == "span"
     assert outer["parent"] is None
     assert inner["parent"] == outer["id"]
-    assert tick["kind"] == "event" and tick["parent"] == inner["id"]
     assert inner["attrs"] == {"deep": True}
     assert outer["attrs"] == {"label": "o"}
     assert outer["dur"] >= inner["dur"] >= 0
@@ -84,30 +75,21 @@ def test_finish_pops_through_escaped_inner_spans():
     assert [e["name"] for e in tracer.export()] == ["outer"]
 
 
-def test_annotate_targets_innermost_open_span():
-    tracer = trace.Tracer(None)
-    with tracer.span("outer"):
-        with tracer.span("inner"):
-            tracer.annotate(src="memo")
-    events = {e["name"]: e for e in tracer.export()}
-    assert events["inner"]["attrs"] == {"src": "memo"}
-    assert events["outer"]["attrs"] == {}
-
-
-def test_absorb_reparents_worker_roots_onto_current_span():
+def test_absorb_reparents_worker_roots_onto_open_span():
     worker = trace.Tracer(None, worker="w1")
-    with worker.span("search.spec", spec="s"):
-        with worker.span("eval.spec", spec="s"):
-            pass
+    search = worker.begin("search.spec", spec="s")
+    worker.finish(worker.begin("eval.spec", spec="s"))
+    worker.finish(search)
     shipped = worker.export()
 
     parent = trace.Tracer(None)
-    with parent.span("phase.specs") as phase:
-        parent.absorb(shipped)
+    phase = parent.begin("phase.specs")
+    parent.absorb(shipped)
+    parent.finish(phase)
     merged = {e["name"]: e for e in parent.export()}
     # The worker's root span hangs off the absorbing parent span; the
     # worker-internal link and the worker-tagged ids are preserved.
-    assert merged["search.spec"]["parent"] == phase.id
+    assert merged["search.spec"]["parent"] == phase["id"]
     assert merged["eval.spec"]["parent"] == merged["search.spec"]["id"]
     assert merged["search.spec"]["id"].startswith("w1:")
     assert merged["search.spec"]["worker"] == "w1"
@@ -121,6 +103,148 @@ def test_reset_after_fork_drops_tracer_without_closing(tmp_path):
     # The parent-side file object is untouched; closing it still works.
     tracer.close()
     assert json.loads(open(path).readline())["kind"] == "header"
+
+
+# ---------------------------------------------------------------------------
+# Outside-in span wrappers
+# ---------------------------------------------------------------------------
+
+
+def _assert_pristine(before):
+    """Every entry point is bound to exactly the object it was before."""
+
+    after = trace.entry_points()
+    assert after.keys() == before.keys()
+    for where, obj in before.items():
+        assert after[where] is obj, where
+
+
+def test_entry_points_are_wrapped_only_while_a_traced_session_lives(tmp_path):
+    from repro.synth import goal, search
+
+    before = trace.entry_points()
+    # Bound in the defining module and wherever it was imported by name.
+    original = before["repro.synth.goal", "evaluate_spec"]
+    assert before["repro.synth.search", "evaluate_spec"] is original
+    assert ("repro.synth.cache.SynthCache", "lookup_spec") in before
+    assert not any(hasattr(obj, "__wrapped__") for obj in before.values())
+    config = SynthConfig(timeout_s=60, trace_path=str(tmp_path / "run.jsonl"))
+    with SynthesisSession(config):
+        assert goal.evaluate_spec is not original
+        assert goal.evaluate_spec.__wrapped__ is original
+        assert search.evaluate_spec is goal.evaluate_spec
+    _assert_pristine(before)
+
+
+def test_timed_out_and_raising_traced_runs_restore_entry_points(tmp_path):
+    before = trace.entry_points()
+    path = str(tmp_path / "run.jsonl")
+    with SynthesisSession(SynthConfig(timeout_s=1e-9, trace_path=path)) as session:
+        result = session.run("A1")
+        with pytest.raises(KeyError):
+            session.run("no-such-benchmark")
+    assert result.timed_out
+    assert trace.TRACER is trace.NULL
+    _assert_pristine(before)
+    # Spans raised through are still written, parented and complete.
+    _, events = tool.load_trace(path)
+    roots = [e for e in events if e["parent"] is None]
+    assert [e["name"] for e in roots] == ["session.run", "session.run"]
+    searches = [e for e in events if e["name"] == "search.spec"]
+    assert searches and all("found" not in e["attrs"] for e in searches)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/version"), reason="needs /proc")
+def test_failed_session_init_leaves_no_tracer(tmp_path):
+    import sqlite3
+
+    before = trace.entry_points()
+    orphan = tmp_path / "orphan.jsonl"
+    with pytest.raises(sqlite3.OperationalError):
+        SynthesisSession(SynthConfig(trace_path=str(orphan)), store="/proc/version")
+    assert trace.TRACER is trace.NULL
+    _assert_pristine(before)
+    assert not orphan.exists()
+    # A later traced session owns its own trace file again.
+    path = str(tmp_path / "later.jsonl")
+    with SynthesisSession(SynthConfig(timeout_s=60, trace_path=path)) as session:
+        assert session.run("S1").success
+    assert any(e["name"] == "session.run" for e in tool.load_trace(path)[1])
+
+
+def test_session_close_stops_tracing_even_when_the_store_flush_fails(
+    tmp_path, monkeypatch
+):
+    before = trace.entry_points()
+    session = SynthesisSession(
+        SynthConfig(timeout_s=60, trace_path=str(tmp_path / "run.jsonl")),
+        store=str(tmp_path / "outcomes.sqlite"),
+    )
+
+    def broken_flush():
+        raise OSError("disk full")
+
+    monkeypatch.setattr(session.store, "flush", broken_flush)
+    with pytest.raises(OSError):
+        session.close()
+    assert trace.TRACER is trace.NULL
+    _assert_pristine(before)
+    monkeypatch.undo()
+    session.close()
+    assert session.closed
+
+
+def test_nested_cold_sweep_keeps_the_outer_sessions_wrappers(tmp_path):
+    from repro.synth import goal
+
+    path = str(tmp_path / "run.jsonl")
+    with SynthesisSession(SynthConfig(timeout_s=60, trace_path=path)) as session:
+        wrapped = goal.evaluate_spec
+        # Each cold cell runs in an inner session whose config carries the
+        # same trace_path; it nests instead of owning the tracer.
+        assert session.sweep(["S1"], warm=False)[0].success
+        assert goal.evaluate_spec is wrapped
+        assert session.run("S4").success
+    _, events = tool.load_trace(path)
+    runs = [e for e in events if e["name"] == "session.run"]
+    assert len(runs) == 2
+    last = max(runs, key=lambda e: e["ts"])
+    assert any(
+        e["name"] == "eval.spec" and e["ts"] > last["ts"] for e in events
+    )
+
+
+def _timeline_totals(path):
+    _, events = tool.load_trace(path)
+    timeline = tool.hit_ratio_timeline(events)
+    return tuple(sum(entry[k] for entry in timeline) for k in ("memo", "store", "exec"))
+
+
+def _cache_totals(result):
+    cache = result.metrics["stats"]["cache"]
+    return (
+        cache["spec_hits"] + cache["guard_hits"],
+        cache["store_hits"],
+        cache["spec_misses"] + cache["guard_misses"],
+    )
+
+
+def test_hit_ratio_timeline_matches_cold_cache_counters(tmp_path):
+    path, result = _traced_run(tmp_path, "A1")
+    assert _timeline_totals(path) == _cache_totals(result) == (7, 0, 390)
+
+
+def test_hit_ratio_timeline_counts_store_hits(tmp_path):
+    store = str(tmp_path / "outcomes.sqlite")
+    with SynthesisSession(SynthConfig(timeout_s=60), store=store) as session:
+        assert session.run("S4").success
+    path = str(tmp_path / "run.jsonl")
+    config = SynthConfig(timeout_s=60, trace_path=path)
+    with SynthesisSession(config, store=store) as session:
+        result = session.run("S4")
+    totals = _timeline_totals(path)
+    assert totals == _cache_totals(result)
+    assert totals[1] > 0
 
 
 # ---------------------------------------------------------------------------
