@@ -198,7 +198,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", 4)),
+        default=4,
         help="worker processes for the parallel leg",
     )
     parser.add_argument(

@@ -31,8 +31,6 @@
 # * annotation lint and soundness sweep (repro.analysis): the linter finds
 #   nothing over every registered benchmark, and the sweep observes no
 #   dynamic effect the static footprint fails to subsume.
-# * static analysis gate (bench_analysis --check): >= 15% fewer dynamic
-#   evaluation operations with static pruning on, identical programs.
 # * ORM index gate (bench_orm --check): >= 5x indexed lookup throughput on a
 #   1e5-row battery plus a seeded scale synthesis smoke.
 # * observability gate (bench_obs --check): once a traced session closes --
@@ -133,14 +131,6 @@ python scripts/soundness_sweep.py \
     --samples "${CI_SOUNDNESS_SAMPLES:-10}" \
     --search-limit "${CI_SOUNDNESS_SEARCH_LIMIT:-40}"
 
-echo "== static analysis bench gate =="
-ANALYSIS_REPORT="${CI_ANALYSIS_REPORT:-BENCH_analysis.json}"
-python benchmarks/bench_analysis.py \
-    --timeout "${REPRO_BENCH_TIMEOUT:-60}" \
-    --out "$ANALYSIS_REPORT" \
-    --min-benchmarks 3 \
-    --check
-
 echo "== orm index gate (1e5-row lookup battery + seeded scale smoke) =="
 ORM_REPORT="${CI_ORM_REPORT:-BENCH_orm.json}"
 python benchmarks/bench_orm.py \
@@ -170,4 +160,4 @@ if ! grep -q '"correct": true' <<< "$E2E_LAST"; then
 fi
 python3 e2ebench/run.py compare BENCH_e2e.jsonl "$E2E_OUT" --same-code
 
-echo "== ok: reports at $INTERP_REPORT, $REPORT, $STATE_REPORT, $STORE_REPORT, $PARALLEL_REPORT, $ANALYSIS_REPORT, $ORM_REPORT and $OBS_REPORT =="
+echo "== ok: reports at $INTERP_REPORT, $REPORT, $STATE_REPORT, $STORE_REPORT, $PARALLEL_REPORT, $ORM_REPORT and $OBS_REPORT =="

@@ -13,10 +13,9 @@ Three passes, all purely static (no interpreter, no database):
   mismatches between signatures and their Python impls, and specs whose
   assertions read regions no library method can write.
 
-The search integration (``SynthConfig.static_pruning``) lives in
-:mod:`repro.analysis.prune`: a per-search memo over effect-normalized
-candidates that answers spec evaluations statically when a semantically
-equivalent candidate has already been executed.
+Every spec search also runs :mod:`repro.analysis.prune`: a per-search memo
+over effect-normalized candidates that answers spec evaluations statically
+when a semantically equivalent candidate has already been executed.
 """
 
 from repro.analysis.footprint import TOP_PAIR, footprint, infer, writers_for_effect

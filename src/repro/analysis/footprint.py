@@ -15,8 +15,8 @@ table's method annotations:
 * holes are TOP (``<*, *>``): they stand for arbitrary future code.
 
 Anything the analysis cannot type (unknown method, unbound variable, nil
-receiver) widens to TOP through the :func:`footprint` wrapper -- callers
-that prune or fast-path on the footprint then simply do neither.
+receiver) widens to TOP through the :func:`footprint` wrapper -- a caller
+that prunes on the footprint then simply does not prune.
 
 Like ``check_expr``, results are memoized per node (its ``"footprint"``
 memo table, dropped when a node is pickled), keyed by

@@ -47,12 +47,11 @@ interpreter pass for an outcome that is already known.
 
 Because a reused outcome is byte-for-byte the outcome the evaluation would
 have produced, the search's decisions (return, S-Eff wrap, push priority)
-are unchanged: synthesis with pruning on and off yields *identical*
-programs while skipping a measurable share of dynamic evaluations
-(``benchmarks/bench_analysis.py`` gates on >= 15% on the lookup-heavy
-cells).  The pruner is per-search (one spec, one baseline), so outcomes
-never leak across specs or baselines; ``SynthConfig.static_pruning``
-toggles it.
+are the ones a memo-less search would make, so the synthesized programs
+are too (``tests/test_analysis.py`` checks this against a search whose
+memo never answers).  Every spec search runs one pruner; it is per-search
+(one spec, one baseline), so outcomes never leak across specs or
+baselines.
 """
 
 from __future__ import annotations
@@ -94,11 +93,6 @@ class StaticPruner:
 
     def record(self, key: Hashable, outcome: "SpecOutcome") -> None:
         self._outcomes[key] = outcome
-
-    def write_pure(self, candidate: A.Node) -> bool:
-        """Whether the candidate's static write footprint is provably pure."""
-
-        return footprint(candidate, self.env, self.ct, self.stats).write.is_pure
 
     # ------------------------------------------------------------------ normalize
 

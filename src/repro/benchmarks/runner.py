@@ -58,12 +58,11 @@ class BenchmarkResult:
     index_scans: int = 0
     # Static-analysis counters summed across runs (repro.analysis): dynamic
     # candidate evaluations performed vs. answered statically, footprint
-    # memo hits, restores skipped via the write-pure fast-path, and S-Eff
-    # type fallbacks (each a latent annotation bug; see effect_guided).
+    # memo hits, and S-Eff type fallbacks (each a latent annotation bug;
+    # see effect_guided).
     evaluated: int = 0
     static_prunes: int = 0
     footprint_hits: int = 0
-    state_pure_skips: int = 0
     effect_type_fallbacks: int = 0
     # Unified metrics (repro.obs.metrics): the per-run snapshots folded
     # together with ``merge_snapshots`` across this result's runs.
@@ -108,7 +107,6 @@ class BenchmarkResult:
         self.evaluated += outcome.stats.evaluated
         self.static_prunes += outcome.stats.static_prunes
         self.footprint_hits += outcome.stats.footprint_hits
-        self.state_pure_skips += outcome.stats.state_pure_skips
         self.effect_type_fallbacks += outcome.stats.effect_type_fallbacks
         if outcome.metrics is not None:
             self.metrics = (

@@ -22,10 +22,6 @@ The configuration exposes every knob the paper's evaluation turns:
   ``benchmarks/bench_state.py``'s baseline), and ``verify_recordings`` is an
   opt-in debug mode that periodically re-records a replayed spec's setup and
   raises on nondeterminism;
-* ``static_pruning`` controls the static effect analyses of
-  :mod:`repro.analysis`: pre-evaluation pruning through the normal-form
-  outcome memo and the write-pure restore fast-path (disabling them is the
-  baseline ``benchmarks/bench_analysis.py`` measures against);
 * the remaining limits bound the enumerative search and expose the
   optimizations of Section 4 (solution/guard reuse, negated-guard reuse,
   type narrowing, exploration order) for the ablation benchmarks.
@@ -99,15 +95,6 @@ class SynthConfig:
     # closure and seed inserts on every candidate evaluation; it only takes
     # effect for problems that carry their database.
     snapshot_state: bool = True
-
-    # Static effect analysis (repro.analysis).  When enabled (the default),
-    # the search (1) answers evaluations of candidates whose effect-normal
-    # form it has already executed from a static memo instead of running
-    # them (repro.analysis.prune -- sound by construction, so synthesized
-    # programs are byte-identical with the knob off), and (2) fast-paths
-    # statically write-pure candidates past the snapshot restore that would
-    # otherwise precede the next evaluation of the same spec.
-    static_pruning: bool = True
 
     # Opt-in debug mode for the snapshot subsystem's determinism contract:
     # when > 0, every Nth replay of a recorded spec re-runs the full

@@ -84,12 +84,11 @@ class SpecContext:
         #: Observer attached by :mod:`repro.synth.state` during a recording
         #: pass; ``None`` everywhere else.
         self._recorder: Any = None
-        #: When set (by ``evaluate_spec``), every ``invoke`` runs inside an
-        #: effect capture and appends the observed pair here -- the dynamic
-        #: side of the static/dynamic soundness gate, and the purity witness
-        #: the snapshot manager's restore fast-path consumes.  A crashing
-        #: invoke still appends its partial log (a prefix of the full
-        #: effects, so subsumption checks remain sound).
+        #: When set (by ``evaluate_spec`` under ``capture_invoke``), every
+        #: ``invoke`` runs inside an effect capture and appends the observed
+        #: pair here -- the dynamic side of the static/dynamic soundness
+        #: gate.  A crashing invoke still appends its partial log (a prefix
+        #: of the full effects, so subsumption checks remain sound).
         self._capture_invoke = False
         self.invoke_pairs: List["EffectPair"] = []
         #: The read/write pair captured around each ``assert_`` condition,
@@ -111,8 +110,7 @@ class SpecContext:
                 finally:
                     # Appended even when the candidate crashes: the partial
                     # log is a prefix of the run's effects, which is exactly
-                    # what soundness subsumption and the purity fast-path
-                    # need (a pure partial log means nothing was written).
+                    # what soundness subsumption needs.
                     self.invoke_pairs.append(log.pair)
         else:
             self.result = self.interpreter.call_program(self.program, *args)
@@ -246,11 +244,6 @@ class SynthesisProblem:
 
         self.reset()
         self._reset_count += 1
-        if self._state_manager is not None:
-            # A direct reset mutated the database behind the manager's back;
-            # its restore fast-path marker (see StateManager.note_eval) must
-            # not survive it.
-            self._state_manager.note_external_mutation()
 
     @property
     def reset_replays(self) -> int:
@@ -371,7 +364,6 @@ def evaluate_spec(
     state: Optional["StateManager"] = None,
     interpreter: Optional[Interpreter] = None,
     backend: Optional[str] = None,
-    static_write_pure: bool = False,
     capture_invoke: bool = False,
 ) -> SpecOutcome:
     """Reset global state, run the spec's setup, then its postcondition.
@@ -389,17 +381,8 @@ def evaluate_spec(
     here (``None`` means the process default; see
     :attr:`repro.synth.config.SynthConfig.eval_backend`).
 
-    ``static_write_pure`` tells the evaluation that the candidate's *static*
-    write footprint is pure (:mod:`repro.analysis.footprint`).  The invoke
-    then runs inside an effect capture, and when the dynamic log confirms
-    the purity, the state manager is told the database still equals the
-    spec's pre-invoke snapshot -- letting the *next* replay of the same
-    spec skip its restore entirely (``StateStats.pure_skips``).  The
-    dynamic confirmation makes the fast-path robust against annotation
-    bugs: a lying "pure" annotation costs the skip, never correctness.
-
-    ``capture_invoke`` additionally bypasses the memo (both lookup and
-    store) and returns the dynamically observed effect pair on
+    ``capture_invoke`` runs the invoke inside an effect capture, bypasses
+    the memo (both lookup and store) and returns the observed effect pair on
     ``SpecOutcome.invoke_pair`` -- the soundness checker's probe, which
     must observe a real execution.
     """
@@ -414,8 +397,7 @@ def evaluate_spec(
         else Interpreter(problem.class_table, backend=backend)
     )
     ctx = SpecContext(problem, program, interp)
-    capture = capture_invoke or (static_write_pure and state is not None)
-    ctx._capture_invoke = capture
+    ctx._capture_invoke = capture_invoke
     # The state-restore phase is infrastructure: a crashing reset closure or
     # corrupt snapshot must propagate, not be misread (and memoized) as a
     # candidate-induced spec failure.
@@ -447,15 +429,7 @@ def evaluate_spec(
         )
     if capture_invoke:
         outcome.invoke_pair = _union_pairs(ctx.invoke_pairs)
-    if state is not None:
-        # A pure partial log also counts: nothing was written before a crash.
-        clean = (
-            static_write_pure
-            and capture
-            and all(pair.write.is_pure for pair in ctx.invoke_pairs)
-        )
-        state.note_eval(spec, clean)
-    if cache is not None and not capture_invoke:
+    elif cache is not None:
         cache.store_spec(problem, program, spec, outcome)
     return outcome
 
@@ -486,7 +460,6 @@ def evaluate_all_specs(
     stats: Optional["SearchStats"] = None,
     state: Optional["StateManager"] = None,
     backend: Optional[str] = None,
-    static_write_pure: bool = False,
 ) -> bool:
     """Whether ``program`` passes every spec (used by merge validation).
 
@@ -518,7 +491,6 @@ def evaluate_all_specs(
             state=state,
             interpreter=interpreter,
             backend=backend,
-            static_write_pure=static_write_pure,
         )
         if not outcome.ok:
             return False
@@ -533,7 +505,6 @@ def evaluate_guard(
     cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
     backend: Optional[str] = None,
-    static_write_pure: bool = False,
 ) -> bool:
     """Whether ``guard`` (as the whole method body) evaluates to ``expect``.
 
@@ -555,10 +526,6 @@ def evaluate_guard(
             return memoized is not None and memoized == expect
     interpreter = Interpreter(problem.class_table, backend=backend)
     ctx = SpecContext(problem, program, interpreter)
-    # Guards are overwhelmingly read-only, so the static purity fast-path
-    # (see evaluate_spec) pays off most in guard search: consecutive guard
-    # trials against the same spec skip the restore between them.
-    ctx._capture_invoke = static_write_pure and state is not None
     # As in evaluate_spec, restore failures are infrastructure errors and
     # propagate; only the guard's own execution can reject it.
     if state is not None:
@@ -574,13 +541,6 @@ def evaluate_guard(
         raise
     except Exception:  # noqa: BLE001 - a crashing guard is simply rejected
         truthiness = None
-    if state is not None:
-        clean = (
-            static_write_pure
-            and ctx._capture_invoke
-            and all(pair.write.is_pure for pair in ctx.invoke_pairs)
-        )
-        state.note_eval(spec, clean)
     if cache is not None:
         cache.store_guard(problem, program, spec, truthiness)
     return truthiness is not None and truthiness == expect

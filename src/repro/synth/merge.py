@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.lang import ast as A
-from repro.analysis.footprint import footprint
 from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import (
@@ -36,6 +35,7 @@ from repro.synth.goal import (
     Spec,
     SynthesisProblem,
     evaluate_all_specs,
+    evaluate_guard,
 )
 from repro.synth.implication import GuardEncoder, negate
 from repro.synth.search import SearchStats, generate_guard
@@ -197,26 +197,18 @@ class Merger:
         # rules 6 and 7) before synthesizing the second guard from scratch.
         second_guard: Optional[A.Node] = None
         negated = negate(first_guard)
-        negated_pure = self.config.static_pruning and footprint(
-            negated,
-            dict(self.problem.param_env),
-            self.problem.class_table,
-            self.stats,
-        ).write.is_pure
         if all(
-            _guard_holds(
+            evaluate_guard(
                 self.problem, negated, spec, expect=True,
                 cache=self.cache, state=self.state,
                 backend=self.config.eval_backend,
-                static_write_pure=negated_pure,
             )
             for spec in second.specs
         ) and all(
-            _guard_holds(
+            evaluate_guard(
                 self.problem, negated, spec, expect=False,
                 cache=self.cache, state=self.state,
                 backend=self.config.eval_backend,
-                static_write_pure=negated_pure,
             )
             for spec in first.specs
         ):
@@ -315,15 +307,6 @@ class Merger:
     def _passes_all_specs(self, program: A.MethodDef) -> bool:
         """Budget-checked, memoized validation of one candidate program."""
 
-        # Merged programs are often pure dispatchers over lookups; proving
-        # the body write-pure lets the batched validation skip the snapshot
-        # restore between consecutive evaluations of the same spec.
-        pure = self.config.static_pruning and footprint(
-            program.body,
-            dict(self.problem.param_env),
-            self.problem.class_table,
-            self.stats,
-        ).write.is_pure
         return evaluate_all_specs(
             self.problem,
             program,
@@ -332,7 +315,6 @@ class Merger:
             stats=self.stats,
             state=self.state,
             backend=self.config.eval_backend,
-            static_write_pure=pure,
         )
 
     def _strengthen_all(
@@ -364,24 +346,6 @@ def _disjoin(left: A.Node, right: A.Node) -> A.Node:
     if left == right:
         return left
     return A.Or(left, right)
-
-
-def _guard_holds(
-    problem: SynthesisProblem,
-    guard: A.Node,
-    spec: Spec,
-    expect: bool,
-    cache: Optional[SynthCache] = None,
-    state: Optional[StateManager] = None,
-    backend: Optional[str] = None,
-    static_write_pure: bool = False,
-) -> bool:
-    from repro.synth.goal import evaluate_guard
-
-    return evaluate_guard(
-        problem, guard, spec, expect, cache=cache, state=state, backend=backend,
-        static_write_pure=static_write_pure,
-    )
 
 
 def _orderings(solutions: List[SpecSolution]) -> List[Tuple[SpecSolution, ...]]:

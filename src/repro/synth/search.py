@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.lang import ast as A
 from repro.lang import types as T
-from repro.analysis.footprint import footprint
 from repro.analysis.prune import StaticPruner
 from repro.synth.cache import SynthCache
 from repro.synth.config import ORDER_FIFO, ORDER_PAPER, ORDER_SIZE, SynthConfig
@@ -77,17 +76,14 @@ class SearchStats:
     # Cross-run solution reuse (the session's solution hints): specs whose
     # search was skipped because the previous run's solution re-validated.
     hint_reuses: int = 0
-    # Static-analysis counters (repro.analysis, behind
-    # SynthConfig.static_pruning): candidate evaluations answered from the
-    # normal-form outcome memo instead of the interpreter (disjoint from
-    # ``evaluated``), footprint/writer-list memo hits, snapshot restores
-    # skipped through the write-pure fast-path (mirrors
-    # StateStats.pure_skips), and S-Eff wraps whose candidate could not be
-    # typed so the hole fell back to the goal's return type (each one a
-    # would-be silent annotation/typing bug; see effect_guided).
+    # Static-analysis counters (repro.analysis): candidate evaluations
+    # answered from the normal-form outcome memo instead of the interpreter
+    # (disjoint from ``evaluated``), footprint/writer-list memo hits, and
+    # S-Eff wraps whose candidate could not be typed so the hole fell back
+    # to the goal's return type (each one a would-be silent
+    # annotation/typing bug; see effect_guided).
     static_prunes: int = 0
     footprint_hits: int = 0
-    state_pure_skips: int = 0
     effect_type_fallbacks: int = 0
     # Effect-hole expansions whose S-EffApp writer list was reordered by the
     # most-specific-first sort (repro.analysis.footprint.writers_for_effect)
@@ -183,16 +179,16 @@ def generate_for_spec(
     worklist.push(root if root is not None else A.TypedHole(problem.ret_type), 0)
     # The static pruner is per-search (one spec, one baseline), so its
     # normal-form outcome memo can never leak an outcome across specs.
-    pruner = StaticPruner(problem, stats) if config.static_pruning else None
+    pruner = StaticPruner(problem, stats)
 
     while worklist:
         if budget.expired():
             stats.timed_out = True
             raise SynthesisTimeout(f"timeout while solving {spec.name!r}")
         # Pruned candidates count against the budget exactly like evaluated
-        # ones: with pruning on, every prune replaces one evaluation the
-        # pruning-off search performs, so both exhaust the budget at the
-        # same candidate and synthesize identical programs.
+        # ones: every prune stands for one evaluation a memo-less search
+        # would perform, so the budget is exhausted at the same candidate
+        # whether or not the memo answers it.
         if stats.evaluated + stats.static_prunes > config.max_candidates:
             return None
 
@@ -210,29 +206,14 @@ def generate_for_spec(
                     stats.pruned_size += 1
                 continue
 
-            key = None
-            if pruner is not None:
-                key = pruner.key_for(candidate)
-                reused = pruner.outcome_for(key)
-                if reused is not None:
-                    # A semantically equivalent candidate already ran; its
-                    # outcome carries the same ok/passed_asserts/failure
-                    # fields, so every decision below is byte-identical to
-                    # what the evaluation would have produced.
-                    stats.static_prunes += 1
-                    outcome = reused
-                else:
-                    stats.evaluated += 1
-                    outcome = evaluate_spec(
-                        problem,
-                        problem.make_program(candidate),
-                        spec,
-                        cache=cache,
-                        state=state,
-                        backend=config.eval_backend,
-                        static_write_pure=pruner.write_pure(candidate),
-                    )
-                    pruner.record(key, outcome)
+            key = pruner.key_for(candidate)
+            outcome = pruner.outcome_for(key)
+            if outcome is not None:
+                # A semantically equivalent candidate already ran; its
+                # outcome carries the same ok/passed_asserts/failure
+                # fields, so every decision below is byte-identical to
+                # what the evaluation would have produced.
+                stats.static_prunes += 1
             else:
                 stats.evaluated += 1
                 outcome = evaluate_spec(
@@ -243,6 +224,7 @@ def generate_for_spec(
                     state=state,
                     backend=config.eval_backend,
                 )
+                pruner.record(key, outcome)
             if outcome.ok:
                 return candidate
             if config.use_effects and outcome.has_effect_error:
@@ -285,12 +267,6 @@ def generate_guard(
 
     def accepted(guard: A.Node) -> bool:
         stats.evaluated += 1
-        # Guards are mostly pure reads, so consecutive trials against the
-        # same spec can skip the snapshot restore between them when the
-        # static footprint proves the previous guard wrote nothing.
-        pure = config.static_pruning and footprint(
-            guard, dict(problem.param_env), problem.class_table, stats
-        ).write.is_pure
         for spec in positive_specs:
             if not evaluate_guard(
                 problem,
@@ -300,7 +276,6 @@ def generate_guard(
                 cache=cache,
                 state=state,
                 backend=config.eval_backend,
-                static_write_pure=pure,
             ):
                 return False
         for spec in negative_specs:
@@ -312,7 +287,6 @@ def generate_guard(
                 cache=cache,
                 state=state,
                 backend=config.eval_backend,
-                static_write_pure=pure,
             ):
                 return False
         return True

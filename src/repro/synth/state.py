@@ -97,10 +97,6 @@ class StateStats:
 
     #: Snapshot restores that replaced a full reset+setup replay.
     restores: int = 0
-    #: Restores whose table swap was skipped entirely because the previous
-    #: evaluation of the same spec was statically write-pure and dynamically
-    #: confirmed clean (see ``note_eval``); counted *inside* ``restores``.
-    pure_skips: int = 0
     #: Full reset+setup replays (recording passes and unreplayable specs).
     rebuilds: int = 0
     #: Snapshots captured (one baseline plus one per replayable spec).
@@ -126,7 +122,6 @@ class StateStats:
 
         return StateStats(
             restores=self.restores - before.restores,
-            pure_skips=self.pure_skips - before.pure_skips,
             rebuilds=self.rebuilds - before.rebuilds,
             captures=self.captures - before.captures,
             unreplayable=self.unreplayable - before.unreplayable,
@@ -139,7 +134,6 @@ class StateStats:
     def as_dict(self) -> Dict[str, int]:
         return {
             "restores": self.restores,
-            "pure_skips": self.pure_skips,
             "rebuilds": self.rebuilds,
             "captures": self.captures,
             "unreplayable": self.unreplayable,
@@ -237,11 +231,6 @@ class StateManager:
         self._unreplayable: Set["Spec"] = set()
         self._replay_counts: Dict["Spec", int] = {}
         self._query_seen = database.query_stats.copy()
-        #: Restore fast-path markers (see ``note_eval``): the spec whose
-        #: just-finished replay provably left the database at its pre-invoke
-        #: snapshot, and the spec whose replay is currently in flight.
-        self._clean_spec: Optional["Spec"] = None
-        self._replay_spec: Optional["Spec"] = None
 
     def sync_query_stats(self) -> None:
         """Pull the database's query-planner counters into :class:`StateStats`.
@@ -266,39 +255,7 @@ class StateManager:
         self._recordings.clear()
         self._unreplayable.clear()
         self._replay_counts.clear()
-        self._clean_spec = None
-        self._replay_spec = None
         self.stats.invalidations += 1
-
-    def note_external_mutation(self) -> None:
-        """The database was mutated outside ``begin`` (e.g. a direct reset).
-
-        Drops the restore fast-path marker: the database no longer matches
-        the marked spec's pre-invoke snapshot, so the next replay must
-        restore.  Recordings themselves stay valid -- they are snapshots,
-        not live state.
-        """
-
-        self._clean_spec = None
-        self._replay_spec = None
-
-    def note_eval(self, spec: "Spec", clean: bool) -> None:
-        """Record how the evaluation that ``begin`` prepared left the database.
-
-        ``clean`` means the candidate's static write footprint was pure
-        *and* the dynamically captured invoke log confirmed no writes, so
-        the database still equals ``spec``'s pre-invoke snapshot.  The
-        marker is only trusted for replayed evaluations (``begin`` ran the
-        restore path; recording passes and rebuilds leave the database past
-        the snapshot by design) and is consumed by the next ``begin`` of
-        the same spec, which can then skip its table swap.
-        """
-
-        if clean and self._replay_spec is spec:
-            self._clean_spec = spec
-        else:
-            self._clean_spec = None
-        self._replay_spec = None
 
     def recording_for(self, spec: "Spec") -> Optional[SpecRecording]:
         return self._recordings.get(spec)
@@ -336,12 +293,6 @@ class StateManager:
         (replay, fallback or recording pass) to run against the context.
         """
 
-        # Consume the restore fast-path marker: it vouches for the database
-        # state *right now*, before anything below touches it.
-        clean = self._clean_spec
-        self._clean_spec = None
-        self._replay_spec = None
-
         recording = self._recordings.get(spec)
         if recording is not None:
             if self.verify_every > 0:
@@ -350,16 +301,7 @@ class StateManager:
                 if count % self.verify_every == 0:
                     return self._verification_pass(problem, spec, recording)
             self.stats.restores += 1
-            if clean is spec:
-                # The previous evaluation of this very spec replayed from
-                # the same snapshot and provably wrote nothing (static
-                # footprint pure, dynamic log pure): the database already
-                # *is* the snapshot, so the table swap is a no-op.  Counted
-                # inside ``restores`` so snapshot-subsystem totals are
-                # unchanged by the fast-path.
-                self.stats.pure_skips += 1
-            else:
-                self.database.restore(recording.snapshot)
+            self.database.restore(recording.snapshot)
             # One joint deep copy so objects shared between the scratch
             # state and the invoke arguments (e.g. a model passed to both)
             # keep their shared identity, as in a real setup run.  Copied
@@ -371,7 +313,6 @@ class StateManager:
                 ctx.state = state
                 ctx.invoke(*args)
 
-            self._replay_spec = spec
             return replay
 
         self.stats.rebuilds += 1

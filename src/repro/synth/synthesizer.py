@@ -260,7 +260,6 @@ class _RunCounters:
             result.state_stats = state_stats
             result.stats.state_restores = state_stats.restores
             result.stats.state_rebuilds = state_stats.rebuilds
-            result.stats.state_pure_skips = state_stats.pure_skips
         result.stats.reset_replays = (
             result.problem.reset_replays - self.resets_before
         )

@@ -22,6 +22,7 @@ from repro.analysis import (
     writers_for_effect,
 )
 from repro.analysis.soundness import check_benchmark, check_expr_against_specs, search_candidates
+from repro.benchmarks import get_benchmark
 from repro.interp.effect_log import log_effect
 from repro.synth import SynthConfig, SynthesisSession, define
 from repro.synth.effect_guided import insert_effect_hole
@@ -223,37 +224,37 @@ def test_pruner_never_strips_crashing_or_writing_prefixes(blog_problem):
     assert pruner.key_for(A.Seq(writing, suffix)) != pruner.key_for(suffix)
 
 
-def test_pruner_write_pure_uses_footprint(blog_problem):
-    pruner = StaticPruner(blog_problem)
-    assert pruner.write_pure(_first_user())
-    assert not pruner.write_pure(_rename_user(A.Var("arg0")))
-    # Untypeable expressions widen to TOP, which is never write-pure.
-    assert not pruner.write_pure(A.Var("ghost"))
-
-
 # ---------------------------------------------------------------------------
 # Search integration
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", ["compiled", "tree"])
-def test_static_pruning_is_transparent_and_cheaper(backend):
-    results = {}
-    for enabled in (False, True):
-        problem = _make_blog_problem(build_blog_app())
-        config = SynthConfig(
-            timeout_s=30, eval_backend=backend, static_pruning=enabled
-        )
+def test_outcome_memo_is_transparent(backend, monkeypatch):
+    """The normal-form memo answers evaluations without changing the search.
+
+    The reference run replaces ``outcome_for`` with a memo that never
+    answers, so every candidate the memo would have answered is evaluated.
+    """
+
+    def synthesize():
+        benchmark = get_benchmark("S6")
+        config = benchmark.make_config(SynthConfig(timeout_s=30, eval_backend=backend))
         with SynthesisSession(config) as session:
-            results[enabled] = session.run(problem)
-    off, on = results[False], results[True]
-    assert off.success and on.success
-    assert off.program == on.program  # byte-identical synthesis
-    ops_off = off.stats.evaluated + off.stats.state_restores - off.stats.state_pure_skips
-    ops_on = on.stats.evaluated + on.stats.state_restores - on.stats.state_pure_skips
-    assert ops_on < ops_off
-    assert on.stats.state_pure_skips > 0
-    assert off.stats.state_pure_skips == 0 and off.stats.static_prunes == 0
+            return session.run(benchmark.build())
+
+    on = synthesize()
+    monkeypatch.setattr(StaticPruner, "outcome_for", lambda self, key: None)
+    off = synthesize()
+    assert on.success and off.success
+    assert on.program == off.program  # byte-identical synthesis
+    assert on.stats.static_prunes > 0 and off.stats.static_prunes == 0
+    # Each answer replaces exactly one evaluation, and with it one restore;
+    # the search itself expands and pushes the same candidates.
+    assert on.stats.evaluated + on.stats.static_prunes == off.stats.evaluated
+    assert on.stats.state_restores + on.stats.static_prunes == off.stats.state_restores
+    for counter in ("expansions", "pushed", "effect_wraps"):
+        assert getattr(on.stats, counter) == getattr(off.stats, counter)
 
 
 def test_insert_effect_hole_counts_type_fallbacks(blog_problem):
